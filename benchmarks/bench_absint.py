@@ -4,7 +4,7 @@ The speculative DLX declares the ``ctl-imm-aligned`` invariant template
 over the ``IR`` chain.  Only ``IR.1`` is individually inductive (the
 fact comes straight out of the instruction ROM); ``IR.2``..``IR.4``
 inherit it from the previous instance, so without help the engine falls
-down the graceful-degradation ladder and settles for ``bounded bmc(8)``.
+through k-induction to BMC and settles for ``bounded bmc(8)``.
 With mining enabled, the absint fixpoint proposes the whole chain, the
 Houdini loop proves it by *simultaneous* induction, and each per-instance
 obligation closes by plain 1-induction under the injected assumptions.

@@ -8,12 +8,11 @@ Three measurements over the full obligation set of the small pipelined DLX:
    machine's CPU count, then **warm cache** — the same call again, which
    must hit the cache for (almost) every obligation;
 3. **timeout degradation** — a per-obligation budget chosen to cut off
-   the one expensive obligation (``lemma1.full_iff_diff``, an order of
-   magnitude slower than the rest) under the *from-scratch* engines: it
-   must end ``unknown`` while every other obligation still completes.
-   The incremental engine is then shown fitting the 1.5s budget that used
-   to kill lemma 1 (the PR 1 baseline in ``BENCH_discharge.json`` recorded
-   it timed out) — nothing times out at all.
+   the one expensive obligation (``lemma1.full_iff_diff``, several times
+   slower than the rest): it must end ``unknown`` while every other
+   obligation still completes.  The engine is then shown fitting the
+   1.5s budget that used to kill lemma 1 (the first from-scratch engine
+   timed it out) — nothing times out at all.
 
 Everything is recorded to ``BENCH_discharge.json`` for the measurement
 trajectory.  Note the parallel numbers are only meaningful relative to
@@ -24,15 +23,14 @@ are CPU-independent.
 
 import tempfile
 import time
-from dataclasses import replace
 
 from _report import report_json
 from repro.jobs import EngineParams, ResultCache, default_jobs, discharge_jobs
 from repro.proofs import Status, discharge, generate_obligations
 
 PARAMS = EngineParams(max_k=2, bmc_bound=8, trace_cycles=100)
-# between lemma1's from-scratch cost and every other obligation's (~10x each way)
-TIMEOUT = 0.4
+# between lemma1's cost (~1s) and every other SAT obligation's (<= ~0.2s)
+TIMEOUT = 0.5
 # the PR 1 per-obligation budget lemma1 used to blow; the incremental
 # engine must fit inside it
 BUDGET = 1.5
@@ -82,12 +80,12 @@ def test_discharge_engine(benchmark, small_dlx):
             r.status for r in cold.records
         ]
 
-        # 3 -- timeout degradation on a fresh cache (from-scratch engines)
+        # 3 -- timeout degradation on a fresh cache
         cache.clear()
         timed = discharge_jobs(
             pipelined,
             obligations,
-            params=replace(PARAMS, incremental=False),
+            params=PARAMS,
             jobs=cpus,
             timeout=TIMEOUT,
             cache=cache,
@@ -99,7 +97,7 @@ def test_discharge_engine(benchmark, small_dlx):
         others = [o.record for o in timed.outcomes if o.source != "timeout"]
         assert all(record.ok for record in others)
 
-        # 4 -- the incremental engine fits the PR 1 budget: nothing times out
+        # 4 -- the engine fits the old lemma 1 budget: nothing times out
         cache.clear()
         budgeted = discharge_jobs(
             pipelined,
@@ -137,7 +135,7 @@ def test_discharge_engine(benchmark, small_dlx):
             },
             "timeout_demo": {
                 "timeout_seconds": TIMEOUT,
-                "engine": "from-scratch",
+                "engine": "incremental",
                 "counts": timed.counts(),
                 "timed_out": [o.record.oid for o in timed_out],
                 "others_ok": all(record.ok for record in others),

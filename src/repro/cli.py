@@ -173,9 +173,6 @@ def cmd_discharge(args: argparse.Namespace) -> int:
             max_k=args.max_k,
             bmc_bound=args.bmc_bound,
             trace_cycles=args.cycles,
-            incremental=not args.scratch,
-            ladder=not args.no_ladder,
-            share=args.share_group,
             max_retries=args.max_retries,
             mem_limit_mb=args.mem_limit,
             cpu_limit_s=args.cpu_limit,
@@ -363,10 +360,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"  {operator}")
         return 0
 
-    from .jobs.engine import EngineParams
-
-    lanes = args.lanes if args.lanes is not None else EngineParams().lanes
-    params = DetectParams(trace_cycles=args.cycles, lanes=lanes)
+    params = DetectParams(trace_cycles=args.cycles, lanes=args.lanes)
     progress = None if args.quiet else print
     report = run_campaign(
         cores=args.core or None,
@@ -782,10 +776,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print a per-obligation table of wall-clock, solver conflicts"
         " and peak unrolled frames (hottest first)",
     )
-    discharge_parser.add_argument(
-        "--scratch", action="store_true",
-        help="use the from-scratch (non-incremental) formal engines",
-    )
     discharge_parser.add_argument("--max-k", type=int, default=2)
     discharge_parser.add_argument("--bmc-bound", type=int, default=8)
     discharge_parser.add_argument(
@@ -817,17 +807,6 @@ def main(argv: list[str] | None = None) -> int:
     discharge_parser.add_argument(
         "--cpu-limit", type=int, default=None, metavar="SECONDS",
         help="rlimit CPU-time cap per solver worker, in seconds",
-    )
-    discharge_parser.add_argument(
-        "--share-group", action=argparse.BooleanOptionalAction, default=True,
-        help="discharge invariant cache-misses in groups over one shared"
-        " unrolling and solver (repro.formal.shared); --no-share-group"
-        " reverts to one symbolic build per obligation",
-    )
-    discharge_parser.add_argument(
-        "--no-ladder", action="store_true",
-        help="disable the graceful-degradation ladder (incremental ->"
-        " from-scratch -> BDD) for unknown invariant obligations",
     )
     discharge_parser.add_argument(
         "--no-absint", action="store_true",
@@ -908,11 +887,10 @@ def main(argv: list[str] | None = None) -> int:
         help="override the per-core trace-check stimulus length",
     )
     faults_parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
+        "--lanes", type=int, default=64, metavar="N",
         help="bit-parallel lanes for the trace stage: chunks of N-1 mutants"
         " simulate in lockstep with the golden design (1 = per-vector;"
-        " verdicts are identical either way; default: the engine lane"
-        " width, 64)",
+        " verdicts are identical either way; default: %(default)s)",
     )
     faults_parser.add_argument(
         "--json", metavar="FILE",

@@ -10,26 +10,16 @@ shifters and mux trees for memory reads.  :func:`to_cnf` produces a one-shot
 Tseitin encoding for the CDCL solver; :class:`CnfEmitter` is its incremental
 counterpart, feeding new nodes of a growing AIG into one persistent solver
 so unrollings can extend a query instead of restarting it.
-
-:func:`sweep` is a fraiging-style rewrite pass: deterministic random
-simulation buckets nodes by their signature, candidate equivalences
-(including constants) are confirmed with bounded SAT checks, and confirmed
-nodes are mapped onto their oldest representative.  Structural hashing
-already merges *structurally* identical nodes; the sweep additionally
-collapses nodes that are semantically equal but built differently — the
-case that arises when successive unrolled frames recompute the same
-function along different paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..hdl import expr as E
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .sat import SatResult, Solver
+    from .sat import Solver
 
 FALSE = 0
 TRUE = 1
@@ -239,210 +229,6 @@ class CnfEmitter:
     def model_to_aig(self, model: Mapping[int, bool]) -> dict[int, bool]:
         """Translate a solver model back to AIG variable space."""
         return {var - 1: value for var, value in model.items() if var >= 2}
-
-
-# ---------------------------------------------------------------------------
-# Simulation-hash sweeping (fraig-style rewrite)
-# ---------------------------------------------------------------------------
-
-_SIM_WORDS = 4  # 4 x 64 deterministic input patterns per signature
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def simulation_signatures(aig: Aig, words: int = _SIM_WORDS) -> dict[int, int]:
-    """Per-variable simulation signatures under deterministic random input.
-
-    Each input variable is driven with ``words`` x 64 pseudo-random
-    (splitmix64-derived, platform-independent) patterns; AND nodes combine
-    their children bitwise.  Two variables with different signatures are
-    definitely inequivalent; equal signatures make an equivalence
-    *candidate* for :func:`sweep` to confirm.
-    """
-    nbits = 64 * words
-    mask = (1 << nbits) - 1
-    sigs: dict[int, int] = {0: 0}
-    for lit in aig._inputs:
-        var = lit >> 1
-        sig = 0
-        for w in range(words):
-            sig = (sig << 64) | _splitmix64(var * words + w)
-        sigs[var] = sig
-    for var, a, b in aig.ands:
-        sa = sigs[a >> 1] ^ (mask if a & 1 else 0)
-        sb = sigs[b >> 1] ^ (mask if b & 1 else 0)
-        sigs[var] = sa & sb
-    return sigs
-
-
-@dataclass
-class SweepResult:
-    """Outcome of a :func:`sweep` pass."""
-
-    subst: dict[int, int] = field(default_factory=dict)  # literal -> literal
-    merged: int = 0  # nodes redirected to an equivalent representative
-    constants: int = 0  # of which: proved constant TRUE/FALSE
-    sat_checks: int = 0  # bounded SAT confirmations attempted
-
-    def apply(self, lit: int) -> int:
-        """The representative literal for ``lit`` (identity when unmerged)."""
-        return self.subst.get(lit, lit)
-
-    def apply_vec(self, vec: Vec) -> Vec:
-        subst = self.subst
-        return [subst.get(lit, lit) for lit in vec]
-
-
-def sweep(
-    aig: Aig,
-    roots: Sequence[int],
-    max_conflicts: int = 64,
-    max_checks: int = 128,
-) -> SweepResult:
-    """Find nodes in the cones of ``roots`` equal to an older node/constant.
-
-    Candidates are bucketed by simulation signature (polarity-canonical, so
-    a node equal to the *negation* of an older one is found too), then each
-    candidate pair is confirmed by a bounded SAT miter — only proven merges
-    enter the substitution, so applying it is always sound.  A SAT refutation
-    refines the bucket with the discovered counterexample pattern before the
-    pass continues; an exhausted budget simply skips the pair.  At most
-    ``max_checks`` SAT calls are spent.
-    """
-    from .sat import Solver
-
-    sigs = simulation_signatures(aig)
-    nbits = 64 * _SIM_WORDS
-    mask = (1 << nbits) - 1
-
-    # cone of the roots
-    and_of = {var: (a, b) for var, a, b in aig.ands}
-    cone: set[int] = set()
-    stack = [lit >> 1 for lit in roots]
-    while stack:
-        var = stack.pop()
-        if var in cone:
-            continue
-        cone.add(var)
-        node = and_of.get(var)
-        if node is not None:
-            stack.append(node[0] >> 1)
-            stack.append(node[1] >> 1)
-    cone.add(0)  # the constant seeds its bucket, so constants sweep too
-
-    # polarity-canonical buckets: var -> (key, negated?)
-    buckets: dict[int, list[tuple[int, bool]]] = {}
-    for var in sorted(cone):
-        sig = sigs[var]
-        inv = sig ^ mask
-        if sig <= inv:
-            buckets.setdefault(sig, []).append((var, False))
-        else:
-            buckets.setdefault(inv, []).append((var, True))
-
-    result = SweepResult()
-
-    def differ_sat(lit_a: int, lit_b: int) -> "SatResult":
-        """SAT iff the two AIG literals can take different values."""
-        clauses, (da, db) = to_cnf(aig, [lit_a, lit_b])
-        solver = Solver()
-        solver.add_clauses(clauses)
-        solver.add_clause([da, db])
-        solver.add_clause([-da, -db])
-        return solver.solve(max_conflicts=max_conflicts)
-
-    for members in buckets.values():
-        # oldest node is the representative; members are var-ascending
-        pending = list(members)
-        while len(pending) > 1:
-            rep_var, rep_neg = pending[0]
-            rep_lit = 2 * rep_var + (1 if rep_neg else 0)
-            survivors: list[tuple[int, bool]] = [pending[0]]
-            refine: Mapping[int, bool] | None = None
-            for var, neg in pending[1:]:
-                if result.sat_checks >= max_checks:
-                    return result
-                if refine is not None:
-                    survivors.append((var, neg))
-                    continue
-                cand_lit = 2 * var + (1 if neg else 0)
-                result.sat_checks += 1
-                verdict = differ_sat(rep_lit, cand_lit)
-                if verdict.satisfiable is False:
-                    # proven: cand_lit == rep_lit for all inputs
-                    result.subst[2 * var] = rep_lit ^ (1 if neg else 0)
-                    result.subst[2 * var + 1] = rep_lit ^ (0 if neg else 1)
-                    result.merged += 1
-                    if rep_var == 0:
-                        result.constants += 1
-                elif verdict.satisfiable is True:
-                    # counterexample: split the bucket on this pattern and
-                    # retry the disagreeing members among themselves
-                    refine = {
-                        lit >> 1: verdict.model.get(lit >> 1, False)
-                        for lit in aig._inputs
-                    }
-                    survivors.append((var, neg))
-                # budget exhausted (None): no merge, no refinement
-            if refine is None:
-                break
-            values = aig.evaluate(
-                refine, [2 * v for v, _neg in survivors]
-            )
-            rep_value = values[0] ^ survivors[0][1]
-            agree = [
-                member
-                for member, value in zip(survivors, values)
-                if (value ^ member[1]) == rep_value
-            ]
-            disagree = [
-                member
-                for member, value in zip(survivors, values)
-                if (value ^ member[1]) != rep_value
-            ]
-            if len(agree) > 1 and agree[0] == survivors[0]:
-                # keep refining against the same representative
-                pending = agree
-                # the disagreeing side forms its own candidate bucket
-                if len(disagree) > 1:
-                    buckets_extra = disagree
-                    _sweep_subgroup(
-                        aig, buckets_extra, differ_sat, result, max_checks
-                    )
-            else:
-                pending = disagree
-        # singleton buckets need no work
-    return result
-
-
-def _sweep_subgroup(
-    aig: Aig,
-    members: list[tuple[int, bool]],
-    differ_sat: Callable[[int, int], "SatResult"],
-    result: SweepResult,
-    max_checks: int,
-) -> None:
-    """Confirm merges within a refined sub-bucket (no further splitting)."""
-    rep_var, rep_neg = members[0]
-    rep_lit = 2 * rep_var + (1 if rep_neg else 0)
-    for var, neg in members[1:]:
-        if result.sat_checks >= max_checks:
-            return
-        cand_lit = 2 * var + (1 if neg else 0)
-        result.sat_checks += 1
-        verdict = differ_sat(rep_lit, cand_lit)
-        if verdict.satisfiable is False:
-            result.subst[2 * var] = rep_lit ^ (1 if neg else 0)
-            result.subst[2 * var + 1] = rep_lit ^ (0 if neg else 1)
-            result.merged += 1
-            if rep_var == 0:
-                result.constants += 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ each new time frame Tseitin-encodes only its own new logic
 literal is activated through a solver *assumption*, so ``bmc``,
 ``k_induction`` and ``prove`` extend the same unrolling from bound ``k`` to
 ``k+1`` — clause/activity/phase state included — instead of restarting.
-Before any unrolling, the transition system is sliced to the property's
-cone of influence at state-variable granularity (individual memory words
-for constant-address reads).  Pass ``incremental=False`` to run the
-one-shot engines instead; both must agree on every verdict (the
-differential suite in ``tests/test_bmc_incremental.py`` holds them to it).
+The incremental engine is a one-member
+:class:`repro.formal.shared.SharedContext`, the same checker that
+discharges whole obligation groups.  Before any unrolling, the transition
+system is sliced to the property's cone of influence at state-variable
+granularity (individual memory words for constant-address reads).  Pass
+``incremental=False`` to run the one-shot engines instead: they are the
+test oracle, and both must agree on every verdict (the differential suite
+in ``tests/test_bmc_incremental.py`` holds them to it).
 
 This engine is what discharges the hardware-level proof obligations the
 transformation tool emits (the role PVS played for the paper's authors).
@@ -35,14 +38,11 @@ from typing import Callable, Mapping, Sequence
 from ..hdl import expr as E
 from ..hdl.netlist import Module
 from .aig import (
-    FALSE,
-    TRUE,
     Aig,
     BitBlaster,
     CnfEmitter,
     Vec,
     fresh_vec,
-    sweep,
     to_cnf,
 )
 from .sat import SatResult, Solver
@@ -368,11 +368,6 @@ class IncrementalUnroller(Unroller):
     in the cone of an asserted/assumed literal are Tseitin-encoded — once.
     Learned clauses, variable activities and saved phases therefore carry
     over from bound ``k`` to bound ``k+1``.
-
-    With ``sweep_frames``, each new frame's state vectors are rewritten by
-    the fraig-style :func:`repro.formal.aig.sweep` pass, so nodes proved
-    equal to an older node (or a constant) collapse before they ever reach
-    the solver.
     """
 
     def __init__(
@@ -380,14 +375,11 @@ class IncrementalUnroller(Unroller):
         system: TransitionSystem,
         support: set[str] | None = None,
         free_init: bool = False,
-        sweep_frames: bool = False,
     ) -> None:
         super().__init__(system, support=support)
         self.solver = Solver()
         self.emitter = CnfEmitter(self.aig, self.solver)
         self.free_init = free_init
-        self.sweep_frames = sweep_frames
-        self.swept = 0  # nodes merged away by the sweep pass, cumulative
 
     def ensure_frames(self, count: int) -> None:
         """Materialise frames 0..count-1 (no-op for already-built frames)."""
@@ -396,192 +388,37 @@ class IncrementalUnroller(Unroller):
         while len(self.frames) < count:
             self.add_step()
 
-    def add_step(self) -> Frame:
-        frame = super().add_step()
-        if self.sweep_frames:
-            roots = [lit for vec in frame.regs.values() for lit in vec]
-            for words in frame.mems.values():
-                for word in words.values():
-                    roots.extend(word)
-            result = sweep(self.aig, roots)
-            if result.merged:
-                self.swept += result.merged
-                for name, vec in frame.regs.items():
-                    frame.regs[name] = result.apply_vec(vec)
-                for words in frame.mems.values():
-                    for addr in list(words):
-                        words[addr] = result.apply_vec(words[addr])
-        return frame
-
     def literal(self, index: int, expression: E.Expr) -> int:
         """Solver literal for a 1-bit expression in frame ``index``,
         encoding its cone into the solver on first use."""
         return self.emitter.encode(self.bit_in_frame(index, expression))
 
-    def assert_unit(self, index: int, expression: E.Expr) -> None:
-        """Permanently constrain a 1-bit expression to hold in a frame."""
-        self.solver.add_clause([self.literal(index, expression)])
-
     def decode_solver_model(self, model: Mapping[int, bool], frames: int) -> Counterexample:
         return self.decode(self.emitter.model_to_aig(model), frames)
 
 
-class IncrementalChecker:
-    """Shared incremental engine behind :func:`bmc`, :func:`k_induction`
-    and :func:`prove`.
+def _system(module_or_system: Module | TransitionSystem) -> TransitionSystem:
+    if isinstance(module_or_system, TransitionSystem):
+        return module_or_system
+    return TransitionSystem.from_module(module_or_system)
 
-    Owns up to two unrollings over the property's cone-of-influence slice —
-    one from reset for BMC/base queries, one with a free initial frame for
-    induction-step queries.  Queries at increasing bounds *extend* the
-    existing unrollings instead of restarting:
 
-    * the "property violated at frame t" literal is activated via a solver
-      assumption, so it can be retracted when moving to t+1;
-    * once frame t is proved violation-free, ``prop``@t is asserted as a
-      unit clause (it is implied by the database, so this only strengthens
-      later searches);
-    * environment assumptions are unit-asserted per frame (they are
-      required to be invariants);
-    * ``prove``'s growing induction-step checks reuse one free-init
-      unrolling, its frames 0..k-1 constrained by the induction hypothesis.
+def _context(
+    module_or_system: Module | TransitionSystem,
+    prop: E.Expr,
+    assume: Sequence[E.Expr],
+    max_conflicts: int | None,
+    interrupt: Callable[[], bool] | None,
+):
+    """The incremental engine: a one-member shared context."""
+    from .shared import SharedContext, SharedMember
 
-    ``conflicts`` accumulates solver conflicts over every query and
-    ``frames`` reports the peak unrolled depth — surfaced per obligation by
-    ``repro discharge --profile``.
-    """
-
-    def __init__(
-        self,
-        module_or_system: Module | TransitionSystem,
-        prop: E.Expr,
-        assume: Sequence[E.Expr] = (),
-        max_conflicts: int | None = None,
-        interrupt: Callable[[], bool] | None = None,
-        sweep_frames: bool = False,
-    ) -> None:
-        system = (
-            module_or_system
-            if isinstance(module_or_system, TransitionSystem)
-            else TransitionSystem.from_module(module_or_system)
-        )
-        self.system = system
-        self.prop = prop
-        self.assume = tuple(assume)
-        self.max_conflicts = max_conflicts
-        self.interrupt = interrupt
-        self.support = system.cone_of_influence([prop, *assume])
-        self._sweep_frames = sweep_frames
-        self._base = IncrementalUnroller(
-            system, support=self.support, free_init=False, sweep_frames=sweep_frames
-        )
-        self._step: IncrementalUnroller | None = None
-        self._base_proved = -1  # highest frame proved violation-free
-        self._step_hyp = -1  # step frames 0..n carry the induction hypothesis
-        self._step_assumed = -1  # step frames 0..n carry the assumptions
-        self.conflicts = 0
-
-    @property
-    def frames(self) -> int:
-        peak = len(self._base.frames)
-        if self._step is not None:
-            peak = max(peak, len(self._step.frames))
-        return peak
-
-    def _query(self, unroller: IncrementalUnroller, assumptions: list[int]) -> SatResult:
-        result = unroller.solver.solve(
-            assumptions=assumptions,
-            max_conflicts=self.max_conflicts,
-            interrupt=self.interrupt,
-        )
-        self.conflicts += result.conflicts
-        return result
-
-    def _result(
-        self,
-        holds: bool | None,
-        bound: int,
-        method: str,
-        counterexample: Counterexample | None = None,
-    ) -> CheckResult:
-        return CheckResult(
-            holds=holds,
-            bound=bound,
-            method=method,
-            counterexample=counterexample,
-            conflicts=self.conflicts,
-            frames=self.frames,
-        )
-
-    def bmc_to(self, bound: int) -> CheckResult:
-        """Check ``prop`` in frames 0..bound from reset, extending any
-        previously checked prefix."""
-        for t in range(self._base_proved + 1, bound + 1):
-            self._base.ensure_frames(t + 1)
-            for assumption in self.assume:
-                self._base.assert_unit(t, assumption)
-            good = self._base.literal(t, self.prop)
-            result = self._query(self._base, [-good])
-            if result.satisfiable is True:
-                return self._result(
-                    False,
-                    t,
-                    "bmc",
-                    counterexample=self._base.decode_solver_model(
-                        result.model, t + 1
-                    ),
-                )
-            if result.satisfiable is None:
-                return self._result(None, t, "bmc")
-            self._base.solver.add_clause([good])  # implied; strengthens t+1..
-            self._base_proved = t
-        return self._result(True, bound, "bmc")
-
-    def induction_step(self, k: int) -> bool | None:
-        """The k-induction step check: from any chain of ``k`` frames
-        satisfying ``prop`` and the assumptions, ``prop`` holds in frame
-        ``k``.  Returns True when it passes, None when it fails or the
-        budget runs out.  ``k`` must not decrease across calls on one
-        checker (earlier hypotheses stay asserted)."""
-        if k - 1 < self._step_hyp:
-            raise ValueError("induction-step bounds must not decrease")
-        if self._step is None:
-            self._step = IncrementalUnroller(
-                self.system,
-                support=self.support,
-                free_init=True,
-                sweep_frames=self._sweep_frames,
-            )
-        step = self._step
-        step.ensure_frames(k + 1)
-        for t in range(self._step_hyp + 1, k):
-            step.assert_unit(t, self.prop)
-        self._step_hyp = max(self._step_hyp, k - 1)
-        for t in range(self._step_assumed + 1, k + 1):
-            for assumption in self.assume:
-                step.assert_unit(t, assumption)
-        self._step_assumed = max(self._step_assumed, k)
-        result = self._query(step, [-step.literal(k, self.prop)])
-        if result.satisfiable is False:
-            return True
-        return None
-
-    def k_induction(self, k: int) -> CheckResult:
-        base = self.bmc_to(k - 1)
-        if base.holds is not True:
-            return self._result(
-                base.holds, base.bound, "k-induction(base)", base.counterexample
-            )
-        if self.induction_step(k) is True:
-            return self._result(True, k, "k-induction")
-        return self._result(None, k, "k-induction(step)")
-
-    def prove(self, max_k: int = 4) -> CheckResult:
-        last = self._result(None, 0, "k-induction")
-        for k in range(1, max_k + 1):
-            last = self.k_induction(k)
-            if last.holds is not None:
-                return last
-        return last
+    return SharedContext(
+        _system(module_or_system),
+        [SharedMember(prop, tuple(assume))],
+        max_conflicts=max_conflicts,
+        interrupt=interrupt,
+    )
 
 
 def _solve(
@@ -616,7 +453,6 @@ def bmc(
     max_conflicts: int | None = None,
     interrupt: Callable[[], bool] | None = None,
     incremental: bool = True,
-    sweep_frames: bool = False,
 ) -> CheckResult:
     """Check that 1-bit ``prop`` holds in every frame 0..bound from reset.
 
@@ -629,20 +465,9 @@ def bmc(
     the one-shot-per-bound engine (same verdicts, used differentially).
     """
     if incremental:
-        checker = IncrementalChecker(
-            module_or_system,
-            prop,
-            assume=assume,
-            max_conflicts=max_conflicts,
-            interrupt=interrupt,
-            sweep_frames=sweep_frames,
-        )
-        return checker.bmc_to(bound)
-    system = (
-        module_or_system
-        if isinstance(module_or_system, TransitionSystem)
-        else TransitionSystem.from_module(module_or_system)
-    )
+        context = _context(module_or_system, prop, assume, max_conflicts, interrupt)
+        return context.bmc_to(0, bound)
+    system = _system(module_or_system)
     support = system.cone_of_influence([prop, *assume])
     unroller = Unroller(system, support=support)
     unroller.add_initial_frame(free=False)
@@ -694,19 +519,15 @@ def bmc_bdd(
     condition is evaluated as a BDD over the free primary inputs rather
     than handed to the CDCL solver.  With a concrete reset frame the only
     BDD variables are the unrolled inputs, so the diagram stays small on
-    exactly the obligations where a SAT engine can get stuck — this is the
-    independent-engine rung of the discharge degradation ladder.
+    exactly the obligations where a SAT engine can get stuck — an
+    independent decision procedure to cross-check the SAT engines against.
 
     ``max_nodes`` caps the node table; exceeding it returns ``holds=None``
     with method ``bdd(node-limit)`` rather than thrashing.
     """
     from .bdd import Bdd
 
-    system = (
-        module_or_system
-        if isinstance(module_or_system, TransitionSystem)
-        else TransitionSystem.from_module(module_or_system)
-    )
+    system = _system(module_or_system)
     support = system.cone_of_influence([prop, *assume])
     unroller = Unroller(system, support=support)
     unroller.add_initial_frame(free=False)
@@ -782,7 +603,6 @@ def k_induction(
     max_conflicts: int | None = None,
     interrupt: Callable[[], bool] | None = None,
     incremental: bool = True,
-    sweep_frames: bool = False,
 ) -> CheckResult:
     """Prove ``prop`` invariant by k-induction.
 
@@ -796,20 +616,9 @@ def k_induction(
     Assumptions must themselves be invariants for the result to be sound.
     """
     if incremental:
-        checker = IncrementalChecker(
-            module_or_system,
-            prop,
-            assume=assume,
-            max_conflicts=max_conflicts,
-            interrupt=interrupt,
-            sweep_frames=sweep_frames,
-        )
-        return checker.k_induction(k)
-    system = (
-        module_or_system
-        if isinstance(module_or_system, TransitionSystem)
-        else TransitionSystem.from_module(module_or_system)
-    )
+        context = _context(module_or_system, prop, assume, max_conflicts, interrupt)
+        return context.k_induction(0, k)
+    system = _system(module_or_system)
     base = bmc(
         system,
         prop,
@@ -868,7 +677,6 @@ def prove(
     max_conflicts: int | None = None,
     interrupt: Callable[[], bool] | None = None,
     incremental: bool = True,
-    sweep_frames: bool = False,
 ) -> CheckResult:
     """Try k-induction with increasing k until the step check passes or
     ``max_k`` is exhausted.
@@ -878,15 +686,8 @@ def prove(
     call instead of redoing everything from scratch.
     """
     if incremental:
-        checker = IncrementalChecker(
-            module_or_system,
-            prop,
-            assume=assume,
-            max_conflicts=max_conflicts,
-            interrupt=interrupt,
-            sweep_frames=sweep_frames,
-        )
-        return checker.prove(max_k)
+        context = _context(module_or_system, prop, assume, max_conflicts, interrupt)
+        return context.prove(0, max_k)
     last = CheckResult(holds=None, bound=0, method="k-induction")
     for k in range(1, max_k + 1):
         last = k_induction(

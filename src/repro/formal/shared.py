@@ -1,14 +1,17 @@
 """Cross-obligation proof sharing: one unrolling, many properties.
 
-A :class:`SharedContext` generalises
-:class:`repro.formal.bmc.IncrementalChecker` from one property to a
-*group* of properties over the same :class:`TransitionSystem`.  The group
-shares what is expensive and separates what is not:
+A :class:`SharedContext` is the incremental BMC / k-induction checker of
+this package.  It discharges a *group* of properties over the same
+:class:`TransitionSystem`, and a single property is simply a one-member
+group: the default engines of :func:`repro.formal.bmc.bmc`,
+:func:`~repro.formal.bmc.k_induction` and :func:`~repro.formal.bmc.prove`
+run on a one-member context.  The group shares what is expensive and
+separates what is not:
 
 * **one** base unrolling (concrete reset frame) and **one** step
   unrolling (free initial frame), both over the *union* of the members'
-  cone-of-influence slices — frame blasting, fraig sweeping and Tseitin
-  encoding are paid once per group instead of once per obligation;
+  cone-of-influence slices — frame blasting and Tseitin encoding are paid
+  once per group instead of once per obligation;
 * **one** CDCL solver per unrolling, so learned clauses, variable
   activities and saved phases earned while discharging one member carry
   over to its siblings (most of the transition logic is common);
@@ -21,15 +24,16 @@ shares what is expensive and separates what is not:
 
 Verdict equivalence: for any member, the shared clause database restricted
 to that member's activation literal is satisfiability-equivalent to the
-database the per-obligation :class:`IncrementalChecker` would have built —
-extra state variables in the union cone are deterministic functions of
-free inputs (always extendable) and other members' guarded clauses are
-vacuous with their activation literal free.  ``tests/test_shared.py``
-holds grouped discharge to *verbatim identical* verdicts/methods/details
-against the per-obligation engine.  (Under a ``max_conflicts`` budget the
-shared solver may decide a query the isolated one gives up on — sharing
-only ever adds derived clauses — so equivalence is exact precisely when
-no budget/interrupt fires.)
+database a context of that member alone would build — extra state
+variables in the union cone are deterministic functions of free inputs
+(always extendable) and other members' guarded clauses are vacuous with
+their activation literal free.  ``tests/test_shared.py`` and
+``tests/test_bmc_incremental.py`` hold grouped discharge to the same
+statuses and methods as the one-shot engines
+(``incremental=False``), the test oracle.  (Under a ``max_conflicts``
+budget the shared solver may decide a query an isolated one gives up on —
+sharing only ever adds derived clauses — so equivalence is exact
+precisely when no budget/interrupt fires.)
 
 Grouping itself is keyed by the hash-consed DAG roots of the transition
 system (:func:`group_key`): obligations discharge together exactly when
@@ -78,12 +82,25 @@ def group_key(system: TransitionSystem) -> tuple[int, ...]:
 class SharedContext:
     """Grouped incremental discharge over one shared unrolling pair.
 
-    Mirrors :class:`IncrementalChecker` member by member: ``bmc_to``,
-    ``induction_step`` and ``k_induction`` take a member index and behave
-    exactly like the per-obligation methods, except that member-specific
-    constraints go through that member's activation literal instead of
-    unit clauses.  Escalation schedules (which k, which bounds, in what
-    order) are the caller's business, as before.
+    ``bmc_to``, ``induction_step``, ``k_induction`` and ``prove`` take a
+    member index; member-specific constraints go through that member's
+    activation literal.  Queries at increasing bounds *extend* the
+    existing unrollings instead of restarting:
+
+    * the "property violated at frame t" literal is activated via a solver
+      assumption, so it can be retracted when moving to t+1;
+    * once frame t is proved violation-free, ``prop``@t is added (guarded)
+      — it is implied by the database, so this only strengthens later
+      searches;
+    * environment assumptions are added (guarded) per frame — they are
+      required to be invariants;
+    * growing induction-step checks reuse one free-init unrolling, its
+      frames 0..k-1 constrained by the induction hypothesis.
+
+    Escalation schedules (which k, which bounds, in what order) are the
+    caller's business.  ``conflicts`` accumulates solver conflicts per
+    member and ``frames`` reports the peak unrolled depth — surfaced per
+    obligation by ``repro discharge --profile``.
 
     ``interrupt`` is a mutable attribute: the group driver points it at
     the *current* member's budget callback before each member's queries,
@@ -96,7 +113,6 @@ class SharedContext:
         members: Sequence[SharedMember],
         max_conflicts: int | None = None,
         interrupt: Callable[[], bool] | None = None,
-        sweep_frames: bool = False,
     ) -> None:
         self.system = system
         self.members = list(members)
@@ -110,10 +126,8 @@ class SharedContext:
         self.support = system.cone_of_influence(roots)
         self.max_conflicts = max_conflicts
         self.interrupt = interrupt
-        self._sweep_frames = sweep_frames
         self._base = IncrementalUnroller(
-            system, support=self.support, free_init=False,
-            sweep_frames=sweep_frames,
+            system, support=self.support, free_init=False
         )
         self._step: IncrementalUnroller | None = None
         n = len(self.members)
@@ -139,6 +153,11 @@ class SharedContext:
             # so the literal is free until the first guarded clause lands
             lit = unroller.emitter.encode(fresh_vec(unroller.aig, 1)[0])
             acts[index] = lit
+            if len(self.members) == 1:
+                # no sibling to hide a lone member's constraints from:
+                # assert its literal outright, so every guarded clause
+                # simplifies to the unit clause it stands for
+                unroller.solver.add_clause([lit])
         return lit
 
     def _guard(
@@ -183,8 +202,7 @@ class SharedContext:
 
     def bmc_to(self, index: int, bound: int) -> CheckResult:
         """Member ``index``'s property checked in frames 0..bound from
-        reset, extending any previously checked prefix (exactly
-        :meth:`IncrementalChecker.bmc_to`, activation-guarded)."""
+        reset, extending any previously checked prefix."""
         member = self.members[index]
         act = self._activation(self._base, self._act_base, index)
         for t in range(self._base_proved[index] + 1, bound + 1):
@@ -212,16 +230,16 @@ class SharedContext:
 
     def induction_step(self, index: int, k: int) -> bool | None:
         """Member ``index``'s k-induction step check on the shared
-        free-init unrolling; semantics and monotonicity contract match
-        :meth:`IncrementalChecker.induction_step`."""
+        free-init unrolling: from any chain of ``k`` frames satisfying the
+        member's property and assumptions, the property holds in frame
+        ``k``.  Returns True when it passes, None when it fails or the
+        budget runs out.  ``k`` must not decrease across calls for one
+        member (earlier hypotheses stay asserted)."""
         if k - 1 < self._step_hyp[index]:
             raise ValueError("induction-step bounds must not decrease")
         if self._step is None:
             self._step = IncrementalUnroller(
-                self.system,
-                support=self.support,
-                free_init=True,
-                sweep_frames=self._sweep_frames,
+                self.system, support=self.support, free_init=True
             )
         step = self._step
         member = self.members[index]

@@ -7,25 +7,25 @@
    parameters (:mod:`repro.proofs.fingerprint`);
 2. **cache lookup** — obligations whose fingerprint has a stored verdict in
    the on-disk cache (:mod:`repro.jobs.cache`) are skipped outright;
-3. **parallel discharge** — cache misses fan out over a pool of forked
-   worker processes.  Invariant misses are batched into *groups* that a
-   single worker discharges over one shared unrolling and solver
+3. **discharge** — cache misses become *tasks*, the one scheduling unit:
+   an invariant group (:func:`_partition_groups`, possibly of a single
+   member) that one shared unrolling and solver decides
    (:mod:`repro.formal.shared`, via
-   :func:`repro.proofs.discharge.discharge_invariant_group`); everything
-   else runs through the pure per-obligation functions of
-   :mod:`repro.proofs.discharge`.  A per-obligation wall-clock timeout
-   terminates stuck workers — cooperatively through the solver's
-   interrupt callback inside a group, by killing the worker outside one —
-   and degrades the obligation to ``Status.UNKNOWN``; one hard instance
-   never hangs or aborts the run.  Workers run under optional rlimit
-   memory/CPU caps.  A worker that dies abnormally (signal, OOM kill,
-   ``os._exit``) is retried with exponential backoff and finally
-   quarantined as a structured ``crashed`` outcome; a *group* worker that
-   dies streams each verdict as it lands, so the parent salvages the
-   finished members and falls the rest back to classic per-obligation
-   scheduling.  Invariant obligations walk a graceful-degradation ladder
-   (incremental CDCL → from-scratch CDCL → BDD reachability → unknown)
-   with the deciding rung recorded as the method;
+   :func:`repro.proofs.discharge.discharge_invariant_group`), or one
+   equivalence obligation.  Tasks run in forked worker processes, or
+   in-process when one worker and no timeout are asked for; either way
+   each task streams ``(index, record)`` per member through
+   :func:`_solver_record` and settles by one rule: streamed records
+   stand, the member on the bench when the task stopped early is retried
+   or quarantined, and the members after it rejoin the queue as one task.
+   A per-obligation wall-clock timeout is enforced cooperatively through
+   the solver's interrupt callback, with a parent-side backstop that kills
+   a worker showing no sign of life, and degrades the obligation to
+   ``Status.UNKNOWN``; one hard instance never hangs or aborts the run.
+   Workers run under optional rlimit memory/CPU caps.  A worker that dies
+   abnormally (signal, OOM kill, ``os._exit``) has its bench member
+   retried with jittered exponential backoff and finally quarantined as a
+   structured ``crashed`` outcome;
 4. **reporting** — per-obligation timing and provenance (cache / worker /
    group / inline / timeout), cache hit rate, per-worker busy time and
    aggregate status counts, as human-readable text and as a JSON
@@ -39,9 +39,9 @@ equivalences) is parallel-safe and timeout-guarded.
 
 Worker processes use the ``fork`` start method, so the transition system
 and expression DAGs are inherited copy-on-write — nothing is pickled on the
-way in; only the small result record crosses the pipe on the way out.
+way in; only the small result records cross the pipe on the way out.
 Where ``fork`` is unavailable the engine falls back to in-process
-sequential discharge (timeouts then degrade to solver conflict budgets).
+sequential discharge (timeouts then stay cooperative).
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ from ..proofs.discharge import (
     Status,
     build_trace,
     discharge_equivalence,
-    discharge_invariant,
     discharge_invariant_group,
-    discharge_invariant_ladder,
     discharge_trace,
     resolve_properties,
 )
@@ -96,14 +94,6 @@ class EngineParams:
     trace_cycles: int = 200
     liveness_bound: int | None = None
     max_conflicts: int | None = None
-    # engine selection: one incremental solver per obligation vs. a fresh
-    # unrolling and solver per bound (see repro.formal.bmc)
-    incremental: bool = True
-    sweep_frames: bool = False
-    # graceful degradation: incremental -> from-scratch -> BDD -> unknown
-    # (repro.proofs.discharge_invariant_ladder; only active with
-    # ``incremental``, since incremental=False *is* the scratch engine)
-    ladder: bool = True
     # abstract-interpretation invariant mining (repro.absint): mine and
     # SAT-prove reachability invariants, then inject them as assumptions
     # into the induction obligations.  Deliberately *not* part of
@@ -111,30 +101,13 @@ class EngineParams:
     # set, which is already hashed into its fingerprint — the flag itself
     # adds no information.
     absint: bool = True
-    # bit-parallel lane width for batched trace discharge (the lockstep
-    # fault campaign and fuzz batching; see repro.hdl.batchsim).  Lane
-    # count is semantics-preserving — every lane computes exactly what a
-    # per-vector simulation would — so it stays out of
-    # ``invariant_params`` and cached verdicts survive retuning it.
-    lanes: int = 64
-    # cross-obligation proof sharing (repro.formal.shared): schedule the
-    # invariant cache-misses as *groups*, each discharged over one shared
-    # unrolling + solver with per-member activation literals, instead of
-    # one symbolic build per obligation.  Verdict-preserving by
-    # construction — each member walks the exact per-obligation
-    # escalation, only the build and the solver's learned state are
-    # shared — so, like ``absint`` and ``lanes``, it stays out of
-    # ``invariant_params`` and cached verdicts survive toggling it.
-    # Only active with ``incremental`` (the scratch engine rebuilds by
-    # definition).
-    share: bool = True
     # width-family proof reuse (repro.analysis.family): serve obligations
     # whose family certificate covers this width from the family cache,
     # and seed freshly proved certified obligations into it.  Only active
     # when the caller also passes a FamilyContext to discharge_jobs.
     # Verdict-preserving: every serve re-validates the width-erased
     # template against the obligation's actual serialization, so — like
-    # ``absint``/``share`` — the flag stays out of ``invariant_params``.
+    # ``absint`` — the flag stays out of ``invariant_params``.
     family: bool = True
     # crash quarantine: how often a crashed (signalled / vanished) worker
     # is retried, with exponential backoff, before the obligation is
@@ -149,9 +122,6 @@ class EngineParams:
             "max_k": self.max_k,
             "bmc_bound": self.bmc_bound,
             "max_conflicts": self.max_conflicts,
-            "incremental": self.incremental,
-            "sweep_frames": self.sweep_frames,
-            "ladder": self.ladder,
         }
 
     def trace_params(self, checker: str, n_stages: int) -> dict[str, object]:
@@ -172,9 +142,10 @@ class JobOutcome:
 
     record: DischargeRecord
     fingerprint: str | None
-    # "cache" | "worker" | "group" | "inline" | "timeout" | "crashed" |
-    # "lint" — "group" marks a verdict produced by a shared-unrolling
-    # group worker (repro.formal.shared)
+    # "cache" | "family" | "group" | "worker" | "inline" | "timeout" |
+    # "crashed" | "lint" | "taint" — "group" marks an invariant verdict of
+    # a shared-unrolling group (repro.formal.shared); "worker" / "inline"
+    # an equivalence verdict from a forked worker / the orchestrator
     source: str
     worker: int = -1
     attempts: int = 1  # worker launches this obligation consumed
@@ -375,38 +346,34 @@ class JobReport:
 
 
 @dataclass
-class _SolverTask:
-    """One cache miss headed for a worker process."""
+class _Task:
+    """The one scheduling unit: an invariant group from
+    :func:`_partition_groups` (possibly of a single member) or one
+    equivalence obligation.  ``members`` are ``(position, obligation,
+    fingerprint)`` triples in the order the task's stream reports them."""
 
-    position: int
-    obligation: Obligation
-    fingerprint: str | None
-    attempts: int = 0  # worker launches consumed so far
+    members: list[tuple[int, Obligation, str | None]]
+    attempts: int = 0  # launches consumed so far
     not_before: float = 0.0  # perf_counter backoff gate after a crash
 
-
-@dataclass
-class _GroupTask:
-    """A batch of invariant cache misses one worker discharges over a
-    single shared unrolling (:mod:`repro.formal.shared`)."""
-
-    members: list[_SolverTask]
-    attempts: int = 0  # groups launch at most once; fallbacks are singletons
-    not_before: float = 0.0
+    @property
+    def obligations(self) -> list[Obligation]:
+        return [obligation for _, obligation, _ in self.members]
 
 
 @dataclass
 class _Running:
-    task: _SolverTask | _GroupTask
+    task: _Task
     process: multiprocessing.process.BaseProcess
     connection: multiprocessing.connection.Connection
     started: float
     slot: int
-    # group bookkeeping: member records streamed so far, and when the
-    # last one (or the launch) happened — the parent's backstop deadline
-    # for a group is per *member*, measured from the last sign of life
-    group_done: dict[int, DischargeRecord] = field(default_factory=dict)
+    # member records streamed so far, and when the last one (or the
+    # launch) happened — the parent's backstop deadline is per *member*,
+    # measured from the last sign of life
+    done: dict[int, DischargeRecord] = field(default_factory=dict)
     last_activity: float = 0.0
+    error: str | None = None  # the stream raised: repr of the exception
 
 
 def default_jobs() -> int:
@@ -418,52 +385,33 @@ def default_jobs() -> int:
 
 
 def _solver_record(
-    system: TransitionSystem, obligation: Obligation, params: EngineParams
-) -> DischargeRecord:
-    if obligation.kind is ObligationKind.INVARIANT:
-        if params.ladder and params.incremental:
-            return discharge_invariant_ladder(
-                system,
-                obligation,
-                max_k=params.max_k,
-                bmc_bound=params.bmc_bound,
-                max_conflicts=params.max_conflicts,
-                sweep_frames=params.sweep_frames,
-            )
-        return discharge_invariant(
-            system,
-            obligation,
-            max_k=params.max_k,
-            bmc_bound=params.bmc_bound,
-            max_conflicts=params.max_conflicts,
-            incremental=params.incremental,
-            sweep_frames=params.sweep_frames,
-        )
-    return discharge_equivalence(obligation)
-
-
-def _group_records(
     system: TransitionSystem,
     obligations: list[Obligation],
     params: EngineParams,
     member_timeout: float | None,
 ):
-    """Stream ``(index, record)`` for one group of invariant obligations.
+    """Stream ``(index, record)`` for one task's obligations.
 
-    A module-level seam (like :func:`_solver_record`) so the robustness
-    tests can sabotage group workers — forked children inherit a
-    monkeypatched binding from the parent process.
-    """
-    return discharge_invariant_group(
-        system,
-        obligations,
-        max_k=params.max_k,
-        bmc_bound=params.bmc_bound,
-        max_conflicts=params.max_conflicts,
-        sweep_frames=params.sweep_frames,
-        ladder=params.ladder,
-        member_timeout=member_timeout,
-    )
+    The one solver seam of the engine: worker processes and the inline
+    path discharge every task through it.  It is module-level so the
+    robustness tests and the chaos harness can wrap it — forked children
+    inherit a monkeypatched binding from the parent process."""
+    if obligations[0].kind is ObligationKind.INVARIANT:
+        yield from discharge_invariant_group(
+            system,
+            obligations,
+            max_k=params.max_k,
+            bmc_bound=params.bmc_bound,
+            max_conflicts=params.max_conflicts,
+            member_timeout=member_timeout,
+        )
+        return
+    record = discharge_equivalence(obligations[0])
+    if member_timeout is not None and record.seconds >= member_timeout:
+        # the same strict budget a group member gets: a late verdict is
+        # discarded
+        record = _timeout_record(obligations[0], member_timeout, record.seconds)
+    yield 0, record
 
 
 def _worker_init(params: EngineParams) -> None:
@@ -483,9 +431,10 @@ def _worker_init(params: EngineParams) -> None:
 def _apply_rlimits(mem_limit_mb: int | None, cpu_limit_s: int | None) -> None:
     """Cap a worker's address space / CPU time via ``resource`` rlimits.
 
-    An overrun surfaces as ``MemoryError`` (caught: ``worker-error``) or
-    ``SIGXCPU`` (kills the worker: quarantined as ``crashed``) — either
-    way one greedy obligation cannot take the host or the run down.
+    An overrun surfaces as ``MemoryError`` (caught: ``group-error`` or
+    ``worker-error``) or ``SIGXCPU`` (kills the worker: quarantined as
+    ``crashed``) — either way one greedy obligation cannot take the host
+    or the run down.
     """
     try:
         import resource
@@ -506,62 +455,39 @@ def _apply_rlimits(mem_limit_mb: int | None, cpu_limit_s: int | None) -> None:
 
 def _worker_main(
     system: TransitionSystem,
-    obligation: Obligation,
-    params: EngineParams,
-    connection: multiprocessing.connection.Connection,
-) -> None:
-    """Child-process entry: discharge one obligation, ship the record back."""
-    _worker_init(params)
-    try:
-        record = _solver_record(system, obligation, params)
-    except Exception as exc:  # a crashed obligation must not kill the run
-        record = DischargeRecord(
-            oid=obligation.oid,
-            title=obligation.title,
-            status=Status.UNKNOWN,
-            method="worker-error",
-            detail=repr(exc),
-        )
-    try:
-        connection.send(record)
-    finally:
-        connection.close()
-
-
-def _group_worker_main(
-    system: TransitionSystem,
     obligations: list[Obligation],
     params: EngineParams,
     member_timeout: float | None,
     connection: multiprocessing.connection.Connection,
 ) -> None:
-    """Child-process entry for a group: ship each member's record the
-    moment it lands, so the parent can salvage finished verdicts when a
-    later member kills the worker.  The intern table is scoped to the
-    group so back-to-back group discharges cannot grow it without bound
-    (relevant mostly to the inline fallback, which shares the driver's
-    table; here it also keeps the copy-on-write pages clean)."""
+    """Child-process entry: ship each record of one task the moment it
+    lands, so the parent keeps finished verdicts when a later member
+    kills the worker.  The intern table is scoped to the task, which
+    keeps the copy-on-write pages clean."""
     _worker_init(params)
     try:
         with E.scoped_intern():
-            for index, record in _group_records(
+            for index, record in _solver_record(
                 system, obligations, params, member_timeout
             ):
                 connection.send((index, record))
-    except Exception:
-        # A failure of the group machinery itself (the shared build, the
-        # pipe) is a crash: the parent quarantines the group and falls the
-        # unfinished members back to per-obligation scheduling, which has
-        # its own worker-error / retry story.
-        pass
+    except Exception as exc:
+        # the stream itself failed (the shared build, say): tell the
+        # parent, which degrades the member on the bench to worker-error
+        try:
+            connection.send((None, repr(exc)))
+        except Exception:  # the pipe is gone: the parent sees a crash
+            pass
     finally:
         connection.close()
 
 
-def _timeout_record(task: _SolverTask, timeout: float, elapsed: float) -> DischargeRecord:
+def _timeout_record(
+    obligation: Obligation, timeout: float, elapsed: float
+) -> DischargeRecord:
     return DischargeRecord(
-        oid=task.obligation.oid,
-        title=task.obligation.title,
+        oid=obligation.oid,
+        title=obligation.title,
         status=Status.UNKNOWN,
         method=f"timeout({timeout:g}s)",
         detail="worker terminated at the per-obligation deadline",
@@ -569,27 +495,27 @@ def _timeout_record(task: _SolverTask, timeout: float, elapsed: float) -> Discha
     )
 
 
-def _crash_record(task: _SolverTask, exitcode: int | None, elapsed: float) -> DischargeRecord:
+def _crash_record(
+    obligation: Obligation, attempts: int, exitcode: int | None, elapsed: float
+) -> DischargeRecord:
     """The structured outcome of a worker that died without a verdict."""
     if exitcode is not None and exitcode < 0:
         signum = -exitcode
         try:
-            import signal
-
             name = signal.Signals(signum).name
-        except (ValueError, ImportError):
+        except ValueError:
             name = f"signal {signum}"
         method = f"crashed(signal {signum})"
-        detail = f"worker killed by {name} after {task.attempts} attempt(s)"
+        detail = f"worker killed by {name} after {attempts} attempt(s)"
     else:
         method = "crashed(no-result)"
         detail = (
             f"worker exited with status {exitcode} without a verdict"
-            f" after {task.attempts} attempt(s)"
+            f" after {attempts} attempt(s)"
         )
     return DischargeRecord(
-        oid=task.obligation.oid,
-        title=task.obligation.title,
+        oid=obligation.oid,
+        title=obligation.title,
         status=Status.UNKNOWN,
         method=method,
         detail=detail,
@@ -599,9 +525,9 @@ def _crash_record(task: _SolverTask, exitcode: int | None, elapsed: float) -> Di
 
 # first-retry backoff cap after a worker crash; the cap doubles per
 # attempt and the actual delay is drawn uniformly from [0, cap] ("full
-# jitter"): when several group workers die at once — one bad machine
-# image, an OOM sweep — their relaunches must not retry in lockstep and
-# stampede the host again
+# jitter"): when several workers die at once — one bad machine image, an
+# OOM sweep — their relaunches must not retry in lockstep and stampede
+# the host again
 _RETRY_BACKOFF = 0.25
 
 
@@ -621,7 +547,7 @@ def _install_drain_handlers() -> Callable[[], None]:
 
     Without this a SIGTERM kills the orchestrator outright, orphaning
     the forked workers and any half-written temp files; with it the
-    signal unwinds through :func:`_run_pool`'s ``finally`` block, which
+    signal unwinds through :func:`_run_tasks`'s ``finally`` block, which
     terminates and reaps every in-flight worker first.  SIGINT already
     raises ``KeyboardInterrupt`` natively.  Only the main thread may
     install handlers; elsewhere (the service discharges from executor
@@ -646,179 +572,181 @@ def _install_drain_handlers() -> Callable[[], None]:
 
     return restore
 
-# Inside a group the per-obligation timeout is enforced cooperatively by
-# the solver's interrupt callback; the parent only kills a group worker
-# that shows *no sign of life* for a full member budget plus this grace —
-# slack for the shared symbolic build and for interrupt-poll granularity.
+# The per-obligation timeout is enforced cooperatively inside a task (the
+# solver's interrupt callback); the parent only kills a worker that shows
+# *no sign of life* for a full member budget plus this grace — slack for
+# the shared symbolic build and for interrupt-poll granularity.
 _GROUP_GRACE = 5.0
 
-# smallest batch worth one shared build; below it, classic scheduling
+# smallest batch worth one shared build of its own
 _MIN_GROUP = 4
 
 
 def _partition_groups(
-    tasks: list[_SolverTask], jobs: int
-) -> list[_GroupTask]:
+    members: list[tuple[int, Obligation, str | None]], jobs: int
+) -> list[_Task]:
     """Split the invariant cache misses into contiguous, balanced groups.
 
     Group count is ``min(jobs, len // _MIN_GROUP)`` (at least one): enough
     groups to keep the pool busy, each big enough that the shared
     unrolling amortises.  Contiguity keeps obligation families (the
     ``stall.*`` battery, the lemma pieces) in one solver, where their
-    learned clauses help each other most.  Every group has >= 2 members
-    by construction; callers route smaller remainders classically.
+    learned clauses help each other most.
     """
-    n_groups = min(jobs, max(1, len(tasks) // _MIN_GROUP))
-    base, extra = divmod(len(tasks), n_groups)
-    groups: list[_GroupTask] = []
+    if not members:
+        return []
+    n_groups = min(jobs, max(1, len(members) // _MIN_GROUP))
+    base, extra = divmod(len(members), n_groups)
+    groups: list[_Task] = []
     start = 0
     for g in range(n_groups):
         size = base + (1 if g < extra else 0)
-        groups.append(_GroupTask(members=tasks[start : start + size]))
+        groups.append(_Task(members=members[start : start + size]))
         start += size
     return groups
 
 
-@dataclass
-class _PoolStats:
-    crashes: int = 0  # abnormal terminations observed
-    retries: int = 0  # of which relaunched
-
-
-def _run_pool(
-    tasks: list[_SolverTask | _GroupTask],
+def _run_tasks(
+    tasks: list[_Task],
     system: TransitionSystem,
     params: EngineParams,
     jobs: int,
     timeout: float | None,
-    on_outcome: Callable[[JobOutcome], None] | None = None,
-) -> tuple[dict[int, JobOutcome], dict[int, float], _PoolStats]:
-    """Fan tasks out over forked workers.
+    pool: bool,
+    report: JobReport,
+    settle: Callable[[int, JobOutcome], None],
+) -> None:
+    """Discharge every task — in forked workers when ``pool``, else in
+    process — and ``settle`` each member's outcome exactly once.
 
-    Returns outcomes keyed by task position, per-slot busy seconds and
-    crash/retry statistics.  A worker that dies abnormally (killed by a
-    signal, OOM, ``os._exit`` — anything that closes the pipe without a
-    record) is retried up to ``params.max_retries`` times with exponential
-    backoff; past that the obligation gets a structured ``crashed`` outcome
-    carrying the signal number.  Timeouts are never retried: the per-task
-    budget is deterministic, a relaunch would just burn it again.
+    Both paths stream ``(index, record)`` per member and conclude a task
+    by one rule.  Streamed records stand.  If the task stopped before its
+    last member, the member on the bench — the first without a record —
+    is decided by how it stopped: the stream raised (``worker-error``),
+    the parent's backstop killed a silent worker (``timeout``), or the
+    worker died (relaunched alone after a jittered backoff while it has
+    retries left, then quarantined as ``crashed``; its attempt count
+    includes the launch it died in).  The members after it rejoin the
+    queue as one fresh task, so a poisoned obligation never costs its
+    healthy siblings twice.  Timeouts are never retried: the budget is
+    deterministic, a relaunch would just burn it again.
 
-    Group tasks (:class:`_GroupTask`) stream one ``(index, record)`` pair
-    per member.  A group worker that dies mid-group is quarantined as a
-    whole: the streamed verdicts stand, the member on the bench inherits
-    the launch in its attempt count, and every unfinished member rejoins
-    the queue as a classic singleton — so a poisoned obligation degrades
-    to exactly the per-obligation retry/quarantine story, and its healthy
-    siblings never pay for it twice.  The per-member timeout inside a
-    group is enforced cooperatively by the worker itself; the parent
-    keeps only a generous backstop (``timeout + _GROUP_GRACE`` since the
-    last streamed record) for a worker that stops responding entirely.
+    Inside a task the per-member timeout is enforced cooperatively by the
+    stream itself; the pool keeps only a generous backstop (``timeout +
+    _GROUP_GRACE`` since the last streamed record) for a worker that
+    stops responding entirely.  Per-slot busy seconds and crash / retry
+    counts go into ``report``.
     """
+    pending = list(reversed(tasks))
+
+    def conclude(
+        task: _Task,
+        done: dict[int, DischargeRecord],
+        slot: int,
+        elapsed: float,
+        error: str | None = None,
+        killed: bool = False,
+        exitcode: int | None = None,
+    ) -> None:
+        report.worker_seconds[slot] = report.worker_seconds.get(slot, 0.0) + elapsed
+        if task.members[0][1].kind is ObligationKind.INVARIANT:
+            kind = "group"
+        else:
+            kind = "worker" if pool else "inline"
+
+        def outcome(member, record: DischargeRecord, source: str) -> None:
+            position, _obligation, fingerprint = member
+            settle(
+                position,
+                JobOutcome(
+                    record=record,
+                    fingerprint=fingerprint,
+                    source=source,
+                    worker=slot if pool else -1,
+                    attempts=task.attempts,
+                ),
+            )
+
+        missing = []
+        for index, member in enumerate(task.members):
+            record = done.get(index)
+            if record is None:
+                missing.append(member)
+            else:
+                timed_out = record.method.startswith("timeout(")
+                outcome(member, record, "timeout" if timed_out else kind)
+        if not missing:
+            return
+        bench, rest = missing[0], missing[1:]
+        _, obligation, _ = bench
+        if error is not None:
+            outcome(
+                bench,
+                DischargeRecord(
+                    oid=obligation.oid,
+                    title=obligation.title,
+                    status=Status.UNKNOWN,
+                    method="worker-error",
+                    detail=error,
+                ),
+                kind,
+            )
+        elif killed:
+            outcome(bench, _timeout_record(obligation, timeout, elapsed), "timeout")
+        else:
+            report.crashes += 1
+            if task.attempts > params.max_retries:
+                record = _crash_record(obligation, task.attempts, exitcode, elapsed)
+                outcome(bench, record, "crashed")
+            else:
+                report.retries += 1
+                pending.append(
+                    _Task(
+                        [bench],
+                        attempts=task.attempts,
+                        not_before=time.perf_counter() + _retry_delay(task.attempts),
+                    )
+                )
+        if rest:
+            pending.append(_Task(rest))
+
+    if not pool:
+        while pending:
+            task = pending.pop()
+            task.attempts += 1
+            done: dict[int, DischargeRecord] = {}
+            error = None
+            start = time.perf_counter()
+            try:
+                # the orchestrator's own intern table: scope it so
+                # repeated task discharges cannot grow it without bound
+                with E.scoped_intern():
+                    for index, record in _solver_record(
+                        system, task.obligations, params, timeout
+                    ):
+                        done[index] = record
+            except Exception as exc:
+                error = repr(exc)
+            conclude(task, done, 0, time.perf_counter() - start, error=error)
+        return
+
     ctx = multiprocessing.get_context("fork")
-    outcomes: dict[int, JobOutcome] = {}
-    pending: list[_SolverTask | _GroupTask] = list(reversed(tasks))
     in_flight: list[_Running] = []
-    busy: dict[int, float] = {}
     free_slots = list(reversed(range(jobs)))
-    stats = _PoolStats()
 
-    def settle(position: int, outcome: JobOutcome) -> None:
-        outcomes[position] = outcome
-        if on_outcome is not None:
-            try:  # a broken observer must never take the solve down
-                on_outcome(outcome)
-            except Exception:
-                pass
-
-    def release(running: _Running) -> float:
-        elapsed = time.perf_counter() - running.started
-        busy[running.slot] = busy.get(running.slot, 0.0) + elapsed
+    def reap(running: _Running, killed: bool = False) -> None:
         running.connection.close()
         running.process.join()
         free_slots.append(running.slot)
-        return elapsed
-
-    def finish(running: _Running, record: DischargeRecord, source: str) -> None:
-        release(running)
-        settle(
-            running.task.position,
-            JobOutcome(
-                record=record,
-                fingerprint=running.task.fingerprint,
-                source=source,
-                worker=running.slot,
-                attempts=running.task.attempts,
-            ),
+        conclude(
+            running.task,
+            running.done,
+            running.slot,
+            time.perf_counter() - running.started,
+            error=running.error,
+            killed=killed,
+            exitcode=running.process.exitcode,
         )
-
-    def settle_group(running: _Running, hard_timeout: bool = False) -> None:
-        """Deliver a finished/killed group worker's verdicts and reroute
-        the members it never decided."""
-        group = running.task
-        assert isinstance(group, _GroupTask)
-        elapsed = release(running)
-        exitcode = running.process.exitcode
-        done = running.group_done
-        # the member the worker was grinding on when it stopped
-        current = next(
-            (i for i in range(len(group.members)) if i not in done), None
-        )
-        crashed = current is not None and not hard_timeout
-        if crashed:
-            stats.crashes += 1
-        for index, member in enumerate(group.members):
-            record = done.get(index)
-            if record is not None:
-                settle(
-                    member.position,
-                    JobOutcome(
-                        record=record,
-                        fingerprint=member.fingerprint,
-                        source="timeout"
-                        if record.method.startswith("timeout(")
-                        else "group",
-                        worker=running.slot,
-                        attempts=group.attempts,
-                    ),
-                )
-            elif hard_timeout and index == current:
-                # deterministic, same no-retry rule as a singleton timeout
-                settle(
-                    member.position,
-                    JobOutcome(
-                        record=_timeout_record(member, timeout, elapsed),
-                        fingerprint=member.fingerprint,
-                        source="timeout",
-                        worker=running.slot,
-                        attempts=group.attempts,
-                    ),
-                )
-            elif crashed and index == current:
-                # prime suspect for the crash: it inherits the group
-                # launch in its attempt count and backs off (or is
-                # quarantined outright) exactly like a crashed singleton
-                member.attempts = group.attempts
-                if member.attempts > params.max_retries:
-                    settle(
-                        member.position,
-                        JobOutcome(
-                            record=_crash_record(member, exitcode, elapsed),
-                            fingerprint=member.fingerprint,
-                            source="crashed",
-                            worker=running.slot,
-                            attempts=member.attempts,
-                        ),
-                    )
-                else:
-                    stats.retries += 1
-                    member.not_before = time.perf_counter() + _retry_delay(
-                        member.attempts
-                    )
-                    pending.append(member)
-            else:
-                # never reached: innocent, rescheduled classically with a
-                # clean slate and no backoff
-                pending.append(member)
 
     def _pool_loop() -> None:
         nonlocal in_flight
@@ -838,19 +766,11 @@ def _run_pool(
                 task = pending.pop(index)
                 task.attempts += 1
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
-                if isinstance(task, _GroupTask):
-                    target = _group_worker_main
-                    args = (
-                        system,
-                        [member.obligation for member in task.members],
-                        params,
-                        timeout,
-                        child_conn,
-                    )
-                else:
-                    target = _worker_main
-                    args = (system, task.obligation, params, child_conn)
-                process = ctx.Process(target=target, args=args, daemon=True)
+                process = ctx.Process(
+                    target=_worker_main,
+                    args=(system, task.obligations, params, timeout, child_conn),
+                    daemon=True,
+                )
                 process.start()
                 child_conn.close()
                 started = time.perf_counter()
@@ -868,13 +788,10 @@ def _run_pool(
             now = time.perf_counter()
             wakeups: list[float] = []
             if timeout is not None:
-                for running in in_flight:
-                    if isinstance(running.task, _GroupTask):
-                        wakeups.append(
-                            running.last_activity + timeout + _GROUP_GRACE
-                        )
-                    else:
-                        wakeups.append(running.started + timeout)
+                wakeups.extend(
+                    running.last_activity + timeout + _GROUP_GRACE
+                    for running in in_flight
+                )
             if free_slots and pending:  # a backoff expiry could start work
                 wakeups.extend(task.not_before for task in pending)
             wait_for = max(0.0, min(wakeups) - now) if wakeups else None
@@ -889,77 +806,31 @@ def _run_pool(
             still_running: list[_Running] = []
             for running in in_flight:
                 if running.connection in ready:
-                    if isinstance(running.task, _GroupTask):
-                        eof = False
-                        try:
-                            # drain every queued (index, record) message; at
-                            # pipe EOF poll() reports readable and recv raises
-                            while running.connection.poll():
-                                index, record = running.connection.recv()
-                                running.group_done[index] = record
-                                running.last_activity = time.perf_counter()
-                        except (EOFError, OSError):
-                            eof = True
-                        if eof:
-                            settle_group(running)
-                        else:
-                            still_running.append(running)
-                        continue
                     try:
-                        record = running.connection.recv()
-                        finish(running, record, "worker")
+                        # drain every queued message; at pipe EOF poll()
+                        # reports readable and recv raises
+                        while running.connection.poll():
+                            index, record = running.connection.recv()
+                            if index is None:
+                                running.error = record
+                            else:
+                                running.done[index] = record
+                            running.last_activity = time.perf_counter()
                     except (EOFError, OSError):
-                        # Pipe closed without a record: the worker crashed.
-                        stats.crashes += 1
-                        elapsed = release(running)
-                        task = running.task
-                        exitcode = running.process.exitcode
-                        if task.attempts <= params.max_retries:
-                            stats.retries += 1
-                            task.not_before = time.perf_counter() + _retry_delay(
-                                task.attempts
-                            )
-                            pending.append(task)
-                        else:
-                            settle(
-                                task.position,
-                                JobOutcome(
-                                    record=_crash_record(task, exitcode, elapsed),
-                                    fingerprint=task.fingerprint,
-                                    source="crashed",
-                                    worker=running.slot,
-                                    attempts=task.attempts,
-                                ),
-                            )
-                elif timeout is not None and isinstance(running.task, _GroupTask):
-                    if (
-                        time.perf_counter() - running.last_activity
-                        >= timeout + _GROUP_GRACE
-                    ):
-                        running.process.terminate()
-                        running.process.join(1.0)
-                        if running.process.is_alive():  # pragma: no cover
-                            running.process.kill()
-                        settle_group(running, hard_timeout=True)
-                    else:
-                        still_running.append(running)
+                        reap(running)
+                        continue
                 elif (
                     timeout is not None
-                    and time.perf_counter() - running.started >= timeout
+                    and time.perf_counter() - running.last_activity
+                    >= timeout + _GROUP_GRACE
                 ):
                     running.process.terminate()
                     running.process.join(1.0)
-                    if running.process.is_alive():  # pragma: no cover - stuck kill
+                    if running.process.is_alive():  # pragma: no cover
                         running.process.kill()
-                    finish(
-                        running,
-                        _timeout_record(
-                            running.task, timeout, time.perf_counter() - running.started
-                        ),
-                        "timeout",
-                    )
-                else:
-                    still_running.append(running)
+                    reap(running, killed=True)
+                    continue
+                still_running.append(running)
             in_flight = still_running
 
     restore_signals = _install_drain_handlers()
@@ -984,8 +855,6 @@ def _run_pool(
             except OSError:  # pragma: no cover
                 pass
 
-    return outcomes, busy, stats
-
 
 def discharge_jobs(
     pipelined: PipelinedMachine,
@@ -1009,13 +878,12 @@ def discharge_jobs(
     obligations uncacheable (their verdict depends on the callables), but
     never affect the solver-side obligations.
 
-    With ``params.share`` (the default, incremental engine only) the
-    invariant cache misses are batched into groups that each discharge
-    over one shared unrolling and solver (:mod:`repro.formal.shared`) —
-    the pool then distributes *groups* rather than single obligations,
-    with per-obligation timeouts enforced inside a group through the
-    solver's interrupt callback and a crashed group falling back to
-    classic per-obligation scheduling.
+    The invariant cache misses are batched into groups that each
+    discharge over one shared unrolling and solver
+    (:mod:`repro.formal.shared`); each equivalence miss is a task of its
+    own.  The pool distributes tasks, with per-obligation timeouts
+    enforced inside a task through the solver's interrupt callback (see
+    :func:`_run_tasks` for the settle rule after a crash or kill).
 
     With ``lint_gate=True`` (the default) the machine is first run through
     :func:`repro.lint.lint_pipeline`; ERROR-level findings fail every
@@ -1039,13 +907,15 @@ def discharge_jobs(
     stimulus are excluded, exactly as they are from the content cache.
 
     ``on_outcome`` is an optional observer invoked with each
-    :class:`JobOutcome` the moment it is final (cache hit, worker
+    :class:`JobOutcome` the moment it is final (cache hit, solver
     verdict, timeout, crash quarantine, gate failure) — the streaming
     seam the discharge service (:mod:`repro.service`) uses to fan
     verdicts out to clients while the run is still in flight.  It is
     called from the orchestrating thread, exactly once per obligation,
     and exceptions it raises are swallowed.
     """
+    from .. import lint
+
     params = params or EngineParams()
     jobs = max(1, jobs if jobs is not None else default_jobs())
     started = time.perf_counter()
@@ -1058,74 +928,42 @@ def discharge_jobs(
                 pass
         return outcome
 
-    if lint_gate:
-        from ..lint import lint_pipeline
-
-        findings = lint_pipeline(pipelined).errors
-        if findings:
-            report = JobReport(
-                machine_name=obligations.machine_name,
-                jobs=jobs,
-                timeout=timeout,
-                lint_errors=[finding.format() for finding in findings],
-            )
-            detail = "; ".join(
-                f"{finding.rule} @ {finding.path}" for finding in findings[:5]
-            )
-            for obligation in obligations:
-                report.outcomes.append(
-                    emit(
-                        JobOutcome(
-                            record=DischargeRecord(
-                                oid=obligation.oid,
-                                title=obligation.title,
-                                status=Status.FAILED,
-                                method="lint-gate",
-                                detail=f"static lint found {len(findings)}"
-                                f" error-level finding(s): {detail}",
-                            ),
-                            fingerprint=None,
-                            source="lint",
-                        )
+    gates = (
+        (lint_gate, lint.lint_pipeline, "lint", "static lint"),
+        (taint_gate, lint.lint_taint, "taint", "non-interference policy"),
+    )
+    for enabled, check, name, checker in gates:
+        findings = check(pipelined).errors if enabled else []
+        if not findings:
+            continue
+        report = JobReport(
+            machine_name=obligations.machine_name,
+            jobs=jobs,
+            timeout=timeout,
+            **{f"{name}_errors": [finding.format() for finding in findings]},
+        )
+        detail = "; ".join(
+            f"{finding.rule} @ {finding.path}" for finding in findings[:5]
+        )
+        for obligation in obligations:
+            report.outcomes.append(
+                emit(
+                    JobOutcome(
+                        record=DischargeRecord(
+                            oid=obligation.oid,
+                            title=obligation.title,
+                            status=Status.FAILED,
+                            method=f"{name}-gate",
+                            detail=f"{checker} found {len(findings)}"
+                            f" error-level finding(s): {detail}",
+                        ),
+                        fingerprint=None,
+                        source=name,
                     )
                 )
-            report.wall_seconds = time.perf_counter() - started
-            return report
-
-    if taint_gate:
-        from ..lint import lint_taint
-
-        findings = lint_taint(pipelined).errors
-        if findings:
-            report = JobReport(
-                machine_name=obligations.machine_name,
-                jobs=jobs,
-                timeout=timeout,
-                taint_errors=[finding.format() for finding in findings],
             )
-            detail = "; ".join(
-                f"{finding.rule} @ {finding.path}" for finding in findings[:5]
-            )
-            for obligation in obligations:
-                report.outcomes.append(
-                    emit(
-                        JobOutcome(
-                            record=DischargeRecord(
-                                oid=obligation.oid,
-                                title=obligation.title,
-                                status=Status.FAILED,
-                                method="taint-gate",
-                                detail="non-interference policy found"
-                                f" {len(findings)} error-level finding(s):"
-                                f" {detail}",
-                            ),
-                            fingerprint=None,
-                            source="taint",
-                        )
-                    )
-                )
-            report.wall_seconds = time.perf_counter() - started
-            return report
+        report.wall_seconds = time.perf_counter() - started
+        return report
 
     resolve_properties(pipelined, obligations)
     system = TransitionSystem.from_module(pipelined.module)
@@ -1185,7 +1023,8 @@ def discharge_jobs(
             "seconds": round(mining.seconds, 4),
             "from_cache": mining.from_cache,
         }
-    solver_tasks: list[_SolverTask] = []
+    invariant_misses: list[tuple[int, Obligation, str | None]] = []
+    equivalence_misses: list[tuple[int, Obligation, str | None]] = []
     inline_trace: list[tuple[int, Obligation, str | None]] = []
 
     for position, obligation in enumerate(ordered):
@@ -1231,101 +1070,29 @@ def discharge_jobs(
         if cache is not None and fingerprint is not None:
             report.cache_misses += 1
 
+        member = (position, obligation, fingerprint)
         if obligation.kind is ObligationKind.TRACE:
-            inline_trace.append((position, obligation, fingerprint))
+            inline_trace.append(member)
+        elif obligation.kind is ObligationKind.INVARIANT:
+            invariant_misses.append(member)
         else:
-            solver_tasks.append(_SolverTask(position, obligation, fingerprint))
+            equivalence_misses.append(member)
 
-    # -- proof sharing: batch invariant misses into shared-unrolling groups ----
-    share_groups: list[_GroupTask] = []
-    if params.share and params.incremental:
-        invariant_tasks = [
-            task
-            for task in solver_tasks
-            if task.obligation.kind is ObligationKind.INVARIANT
-        ]
-        if len(invariant_tasks) > 1:
-            share_groups = _partition_groups(invariant_tasks, jobs)
-            grouped = {
-                id(member) for group in share_groups for member in group.members
-            }
-            solver_tasks = [
-                task for task in solver_tasks if id(task) not in grouped
-            ]
+    # -- solver obligations: tasks, in the worker pool or inline ---------------
+    # groups first: they are the long poles, so they get slots early
+    tasks = [
+        *_partition_groups(invariant_misses, jobs),
+        *(_Task([member]) for member in equivalence_misses),
+    ]
 
-    # -- solver obligations: worker pool (or inline fallback) ------------------
-    use_pool = (
-        (solver_tasks or share_groups)
-        and "fork" in multiprocessing.get_all_start_methods()
+    def settle(position: int, outcome: JobOutcome) -> None:
+        outcome_by_position[position] = emit(outcome)
+
+    pool = (
+        "fork" in multiprocessing.get_all_start_methods()
         and (jobs > 1 or timeout is not None)
     )
-    if use_pool:
-        # groups first: they are the long poles, so they get slots early
-        pooled, busy, pool_stats = _run_pool(
-            [*share_groups, *solver_tasks],
-            system,
-            params,
-            jobs,
-            timeout,
-            on_outcome=emit if on_outcome is not None else None,
-        )
-        outcome_by_position.update(pooled)
-        report.worker_seconds = busy
-        report.crashes = pool_stats.crashes
-        report.retries = pool_stats.retries
-    else:
-
-        def charge(start: float) -> None:
-            report.worker_seconds[0] = report.worker_seconds.get(0, 0.0) + (
-                time.perf_counter() - start
-            )
-
-        for group in share_groups:
-            start = time.perf_counter()
-            delivered: dict[int, DischargeRecord] = {}
-            try:
-                # the driver's own intern table: scope it so repeated
-                # group discharges cannot grow it without bound
-                with E.scoped_intern():
-                    for index, record in _group_records(
-                        system,
-                        [member.obligation for member in group.members],
-                        params,
-                        timeout,
-                    ):
-                        delivered[index] = record
-            except Exception:
-                # group-machinery failure: salvage what streamed, fall the
-                # rest back to per-obligation discharge below
-                pass
-            for index, member in enumerate(group.members):
-                record = delivered.get(index)
-                if record is None:
-                    record = _solver_record(system, member.obligation, params)
-                    source = "inline"
-                else:
-                    source = (
-                        "timeout"
-                        if record.method.startswith("timeout(")
-                        else "group"
-                    )
-                outcome_by_position[member.position] = emit(
-                    JobOutcome(
-                        record=record,
-                        fingerprint=member.fingerprint,
-                        source=source,
-                    )
-                )
-            charge(start)
-        for task in solver_tasks:
-            start = time.perf_counter()
-            record = _solver_record(system, task.obligation, params)
-            charge(start)
-            outcome_by_position[task.position] = emit(
-                JobOutcome(
-                    record=record, fingerprint=task.fingerprint, source="inline"
-                )
-            )
+    _run_tasks(tasks, system, params, jobs, timeout, pool, report, settle)
 
     # -- trace obligations: inline, sharing one stimulus run -------------------
     shared_trace = None

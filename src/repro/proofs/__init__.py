@@ -9,7 +9,6 @@ from .discharge import (
     discharge_equivalence,
     discharge_invariant,
     discharge_invariant_group,
-    discharge_invariant_ladder,
     discharge_trace,
     resolve_properties,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "discharge_equivalence",
     "discharge_invariant",
     "discharge_invariant_group",
-    "discharge_invariant_ladder",
     "discharge_trace",
     "fingerprint_equivalence",
     "fingerprint_exprs",

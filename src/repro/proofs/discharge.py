@@ -8,18 +8,19 @@ recorded with the method that produced it, so a report distinguishes
 *tested* (holds on the exercised runs) — the same epistemic levels the
 paper's PVS proofs vs. simulations occupy.
 
-The per-obligation work is exposed as pure functions
-(:func:`discharge_invariant`, :func:`discharge_equivalence`,
-:func:`discharge_trace`): they depend only on their arguments, so the
-parallel orchestrator in :mod:`repro.jobs` can run them in worker
-processes.  :func:`discharge` is the sequential in-process driver built on
-the same functions.
+The work is exposed as pure functions (:func:`discharge_invariant_group`,
+:func:`discharge_equivalence`, :func:`discharge_trace`): they depend only
+on their arguments, so the parallel orchestrator in :mod:`repro.jobs` can
+run them in worker processes.  Every invariant is decided by one engine,
+the shared incremental checker of :mod:`repro.formal.shared`;
+:func:`discharge_invariant` is its one-member case.  :func:`discharge`
+runs the same functions sequentially in process.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -31,13 +32,7 @@ from ..core.consistency import (
 from ..core.scheduling import check_lemma1
 from ..formal.equiv import check_equivalence
 from ..core.transform import PipelinedMachine
-from ..formal.bmc import (
-    IncrementalChecker,
-    TransitionSystem,
-    bmc,
-    bmc_bdd,
-    k_induction,
-)
+from ..formal.bmc import TransitionSystem, k_induction
 from ..hdl.sim import Simulator, Trace
 from .instrument import instrument_scheduling
 from .obligations import Obligation, ObligationKind, ObligationSet
@@ -140,9 +135,6 @@ def discharge(
     seq_inputs: InputProvider | None = None,
     conjoin: bool = True,
     max_conflicts: int | None = None,
-    incremental: bool = True,
-    sweep_frames: bool = False,
-    share: bool = True,
 ) -> DischargeReport:
     """Discharge every obligation; see module docstring for the strategy.
 
@@ -157,12 +149,8 @@ def discharge(
 
     ``max_conflicts`` bounds every SAT call (see :mod:`repro.formal.sat`);
     an exhausted budget degrades the obligation to ``Status.UNKNOWN``.
-    ``incremental`` selects the single-solver engine (default; see
-    :mod:`repro.formal.bmc`) and ``sweep_frames`` its optional AIG
-    rewriting pass.  With ``share`` (default, incremental engine only)
-    individual invariant discharge runs through one shared unrolling per
-    group (:func:`discharge_invariant_group`) instead of one per
-    obligation — same verdicts, one symbolic build.
+    Individual invariant discharge runs through one shared unrolling
+    (:func:`discharge_invariant_group`) — one symbolic build for them all.
     """
     report = DischargeReport(machine_name=obligations.machine_name)
     resolve_properties(pipelined, obligations)
@@ -175,14 +163,7 @@ def discharge(
 
         start = time.perf_counter()
         combined = E.all_of(o.prop for o in invariants)
-        result = k_induction(
-            system,
-            combined,
-            k=1,
-            max_conflicts=max_conflicts,
-            incremental=incremental,
-            sweep_frames=sweep_frames,
-        )
+        result = k_induction(system, combined, k=1, max_conflicts=max_conflicts)
         if result.holds is True:
             elapsed = (time.perf_counter() - start) / len(invariants)
             for obligation in invariants:
@@ -198,34 +179,17 @@ def discharge(
                     )
                 )
             conjoined_done = True
-    if not conjoined_done:
-        if share and incremental and len(invariants) > 1:
-            grouped = dict(
-                discharge_invariant_group(
-                    system,
-                    invariants,
-                    max_k=max_k,
-                    bmc_bound=bmc_bound,
-                    max_conflicts=max_conflicts,
-                    sweep_frames=sweep_frames,
-                )
+    if invariants and not conjoined_done:
+        report.records.extend(
+            record
+            for _, record in discharge_invariant_group(
+                system,
+                invariants,
+                max_k=max_k,
+                bmc_bound=bmc_bound,
+                max_conflicts=max_conflicts,
             )
-            report.records.extend(
-                grouped[index] for index in range(len(invariants))
-            )
-        else:
-            for obligation in invariants:
-                report.records.append(
-                    discharge_invariant(
-                        system,
-                        obligation,
-                        max_k=max_k,
-                        bmc_bound=bmc_bound,
-                        max_conflicts=max_conflicts,
-                        incremental=incremental,
-                        sweep_frames=sweep_frames,
-                    )
-                )
+        )
 
     for obligation in obligations.equivalences():
         report.records.append(discharge_equivalence(obligation))
@@ -254,209 +218,17 @@ def discharge_invariant(
     max_k: int = 2,
     bmc_bound: int = 8,
     max_conflicts: int | None = None,
-    incremental: bool = True,
-    sweep_frames: bool = False,
-    interrupt: Callable[[], bool] | None = None,
 ) -> DischargeRecord:
-    """Discharge one invariant obligation by k-induction, then BMC.
-
-    With ``incremental`` (default) one :class:`IncrementalChecker` carries
-    the whole escalation: the k-induction attempts at growing k *and* the
-    BMC fallback all extend the same pair of unrollings and the same
-    solvers, so only the newest frame and the newest query are ever paid
-    for.  Pass ``incremental=False`` for the from-scratch engines (used by
-    the differential test suite).
-    """
-    assert obligation.kind is ObligationKind.INVARIANT and obligation.prop is not None
-    start = time.perf_counter()
-    checker: IncrementalChecker | None = None
-    if incremental:
-        checker = IncrementalChecker(
-            system,
-            obligation.prop,
-            assume=list(obligation.assume),
-            max_conflicts=max_conflicts,
-            interrupt=interrupt,
-            sweep_frames=sweep_frames,
-        )
-    conflicts = 0
-    frames = 0
-
-    def note(result) -> None:
-        nonlocal conflicts, frames
-        if checker is not None:
-            conflicts = checker.conflicts
-            frames = checker.frames
-        else:
-            conflicts += result.conflicts
-            frames = max(frames, result.frames)
-
-    def record(status: Status, method: str, detail: str = "") -> DischargeRecord:
-        return DischargeRecord(
-            oid=obligation.oid,
-            title=obligation.title,
-            status=status,
-            method=method,
-            detail=detail,
-            seconds=time.perf_counter() - start,
-            conflicts=conflicts,
-            frames=frames,
-        )
-
-    for k in range(1, max_k + 1):
-        if checker is not None:
-            result = checker.k_induction(k)
-        else:
-            result = k_induction(
-                system,
-                obligation.prop,
-                k=k,
-                assume=list(obligation.assume),
-                max_conflicts=max_conflicts,
-                interrupt=interrupt,
-                incremental=False,
-            )
-        note(result)
-        if result.holds is True:
-            return record(Status.PROVED, f"{k}-induction")
-        if result.holds is False:
-            return record(Status.FAILED, result.method, str(result.counterexample))
-    if checker is not None:
-        result = checker.bmc_to(bmc_bound)
-    else:
-        result = bmc(
-            system,
-            obligation.prop,
-            bound=bmc_bound,
-            assume=list(obligation.assume),
-            max_conflicts=max_conflicts,
-            interrupt=interrupt,
-            incremental=False,
-        )
-    note(result)
-    if result.holds is True:
-        return record(Status.BOUNDED, f"bmc({bmc_bound})")
-    if result.holds is False:
-        return record(Status.FAILED, f"bmc({result.bound})", str(result.counterexample))
-    return record(Status.UNKNOWN, "exhausted")
-
-
-def discharge_invariant_ladder(
-    system: TransitionSystem,
-    obligation: Obligation,
-    max_k: int = 2,
-    bmc_bound: int = 8,
-    max_conflicts: int | None = None,
-    sweep_frames: bool = False,
-    bdd_bound: int | None = None,
-    bdd_max_nodes: int = 200_000,
-    interrupt: Callable[[], bool] | None = None,
-) -> DischargeRecord:
-    """Discharge one invariant via the graceful-degradation ladder.
-
-    Rungs, tried in order, each only when the one above gave no verdict
-    (``UNKNOWN``) or raised:
-
-    1. the incremental CDCL engines (:func:`discharge_invariant`,
-       ``incremental=True`` — the normal path);
-    2. the from-scratch one-shot engines (independent of the incremental
-       unrolling/solver machinery; its verdicts are tagged ``[scratch]``);
-    3. BDD bounded reachability from reset (:func:`repro.formal.bmc.bmc_bdd`
-       — a different decision procedure entirely, no CDCL and no conflict
-       budget, tagged ``bdd(bound)``);
-    4. ``UNKNOWN`` with method ``ladder-exhausted``, its detail recording
-       what every rung reported.
-
-    The ``method`` of the returned record therefore always identifies the
-    rung that produced the verdict — a campaign report can show exactly how
-    each obligation was decided even under engine failures.
-    """
-    assert obligation.kind is ObligationKind.INVARIANT and obligation.prop is not None
-    start = time.perf_counter()
-    notes: list[str] = []
-
-    try:
-        record = discharge_invariant(
-            system,
-            obligation,
-            max_k=max_k,
-            bmc_bound=bmc_bound,
-            max_conflicts=max_conflicts,
-            incremental=True,
-            sweep_frames=sweep_frames,
-            interrupt=interrupt,
-        )
-        if record.status is not Status.UNKNOWN:
-            return record
-        notes.append(f"incremental: {record.method}")
-    except Exception as exc:  # a crashed rung degrades, never aborts
-        notes.append(f"incremental: raised {type(exc).__name__}: {exc}")
-
-    try:
-        record = discharge_invariant(
-            system,
-            obligation,
-            max_k=max_k,
-            bmc_bound=bmc_bound,
-            max_conflicts=max_conflicts,
-            incremental=False,
-            interrupt=interrupt,
-        )
-        if record.status is not Status.UNKNOWN:
-            return replace(
-                record,
-                method=f"{record.method} [scratch]",
-                detail="; ".join(filter(None, [record.detail, *notes])),
-                seconds=time.perf_counter() - start,
-            )
-        notes.append(f"scratch: {record.method}")
-    except Exception as exc:
-        notes.append(f"scratch: raised {type(exc).__name__}: {exc}")
-
-    bound = bdd_bound if bdd_bound is not None else bmc_bound
-    frames = 0
-    try:
-        result = bmc_bdd(
-            system,
-            obligation.prop,
-            bound=bound,
-            assume=list(obligation.assume),
-            max_nodes=bdd_max_nodes,
-        )
-        frames = result.frames
-        if result.holds is True:
-            return DischargeRecord(
-                oid=obligation.oid,
-                title=obligation.title,
-                status=Status.BOUNDED,
-                method=f"bdd({bound})",
-                detail="; ".join(notes),
-                seconds=time.perf_counter() - start,
-                frames=result.frames,
-            )
-        if result.holds is False:
-            return DischargeRecord(
-                oid=obligation.oid,
-                title=obligation.title,
-                status=Status.FAILED,
-                method=f"bdd({result.bound})",
-                detail=str(result.counterexample),
-                seconds=time.perf_counter() - start,
-                frames=result.frames,
-            )
-        notes.append(result.method)
-    except Exception as exc:
-        notes.append(f"bdd: raised {type(exc).__name__}: {exc}")
-
-    return DischargeRecord(
-        oid=obligation.oid,
-        title=obligation.title,
-        status=Status.UNKNOWN,
-        method="ladder-exhausted",
-        detail="; ".join(notes),
-        seconds=time.perf_counter() - start,
-        frames=frames,
+    """Discharge one invariant obligation by k-induction, then BMC: the
+    one-member case of :func:`discharge_invariant_group`."""
+    ((_, record),) = discharge_invariant_group(
+        system,
+        [obligation],
+        max_k=max_k,
+        bmc_bound=bmc_bound,
+        max_conflicts=max_conflicts,
     )
+    return record
 
 
 def discharge_invariant_group(
@@ -465,32 +237,26 @@ def discharge_invariant_group(
     max_k: int = 2,
     bmc_bound: int = 8,
     max_conflicts: int | None = None,
-    sweep_frames: bool = False,
-    ladder: bool = False,
     member_timeout: float | None = None,
 ) -> Iterator[tuple[int, DischargeRecord]]:
     """Discharge a family of invariant obligations over **one** shared
     unrolling (:class:`repro.formal.shared.SharedContext`), yielding
     ``(index, record)`` pairs in obligation order.
 
-    Each member walks exactly the escalation of
-    :func:`discharge_invariant` — k-induction at k = 1..``max_k``, then
-    BMC to ``bmc_bound`` — through the shared context, so statuses,
-    methods and details are verbatim what the per-obligation engine
-    produces; only the symbolic build and the solver's learned state are
-    shared.  Streaming the records (rather than returning a list) lets
-    the group worker ship each verdict over its pipe the moment it lands,
-    so a member that times out or a worker that dies mid-group never
-    costs its already-finished siblings.
+    Each member walks the same escalation — k-induction at k =
+    1..``max_k``, then BMC to ``bmc_bound`` — through the shared context;
+    only the symbolic build and the solver's learned state are shared.
+    Streaming the records (rather than returning a list) lets a worker
+    ship each verdict over its pipe the moment it lands, so a member that
+    times out or a worker that dies mid-group never costs its
+    already-finished siblings.  A member whose engine raises degrades to
+    ``unknown`` with method ``group-error`` and the exception as its
+    detail; its siblings carry on.
 
     ``member_timeout`` is the per-obligation wall-clock budget *inside*
     the group, enforced cooperatively through the solver's interrupt
     callback; a member that exhausts it yields the same ``timeout(..s)``
-    shape the worker pool's hard deadline produces.  With ``ladder``, a
-    member the shared engine leaves UNKNOWN (and that has budget left)
-    falls back to the full per-obligation degradation ladder
-    (:func:`discharge_invariant_ladder`) — grouped scheduling never takes
-    a rung away.
+    shape the worker pool's hard deadline produces.
     """
     from ..formal.shared import SharedContext, SharedMember
 
@@ -506,7 +272,6 @@ def discharge_invariant_group(
             for obligation in obligations
         ],
         max_conflicts=max_conflicts,
-        sweep_frames=sweep_frames,
     )
     for index, obligation in enumerate(obligations):
         start = time.perf_counter()
@@ -556,17 +321,12 @@ def discharge_invariant_group(
                 else:
                     record = record_of(Status.UNKNOWN, "exhausted")
         except Exception as exc:  # one sick member must not kill the group
-            record = record_of(
-                Status.UNKNOWN, "group-error", repr(exc)
-            )
-            if ladder:
-                record = None  # decided by the full ladder below
+            record = record_of(Status.UNKNOWN, "group-error", repr(exc))
 
         timed_out = deadline is not None and time.perf_counter() >= deadline
         if timed_out:
             # Strict wall budget, matching the worker pool's hard deadline:
-            # past it, even a verdict the solver reached late is discarded
-            # (the classic scheduler would have killed the worker first).
+            # past it, even a verdict the solver reached late is discarded.
             record = DischargeRecord(
                 oid=obligation.oid,
                 title=obligation.title,
@@ -578,19 +338,6 @@ def discharge_invariant_group(
                 conflicts=context.conflicts[index],
                 frames=context.frames,
             )
-        elif record is None or record.status is Status.UNKNOWN:
-            if ladder:
-                # the remaining rungs run per-obligation, exactly as the
-                # classic scheduling mode would have run them
-                record = discharge_invariant_ladder(
-                    system,
-                    obligation,
-                    max_k=max_k,
-                    bmc_bound=bmc_bound,
-                    max_conflicts=max_conflicts,
-                    sweep_frames=sweep_frames,
-                    interrupt=context.interrupt,
-                )
         yield index, record
 
 

@@ -37,6 +37,7 @@ import random
 import signal
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,21 +63,23 @@ _STALL_LOCK = threading.Lock()
 
 
 def _stalling_solver_record(original):
-    def wrapper(system, obligation, params):
-        seconds = _STALL_SECONDS
-        if seconds > 0.0:
-            # deterministic per-obligation coin flip: half the
-            # obligations stall, the stall stays far below any timeout
-            if hash(obligation.oid) % 2 == 0:
+    def wrapper(system, obligations, params, member_timeout):
+        for index, record in original(system, obligations, params, member_timeout):
+            seconds = _STALL_SECONDS
+            # deterministic per-obligation coin flip: half the verdicts
+            # stall before they are delivered, the stall stays far below
+            # any timeout
+            if seconds > 0.0 and zlib.crc32(record.oid.encode()) % 2 == 0:
                 time.sleep(seconds)
-        return original(system, obligation, params)
+            yield index, record
 
     return wrapper
 
 
 def install_stall():
-    """Patch the engine solver with the stall seam; returns a restore
-    callable.  Idempotent for the duration of one harness run."""
+    """Wrap the engine's per-task verdict stream with the stall seam —
+    every pooled and inline SAT verdict passes through it; returns a
+    restore callable.  Idempotent for the duration of one harness run."""
     from ..jobs import engine as engine_mod
 
     original = engine_mod._solver_record

@@ -19,9 +19,9 @@ verdict-relevant engine parameter — the same philosophy as the
 per-obligation fingerprints of :mod:`repro.proofs.fingerprint`, one
 level up: requests with equal keys are the same computation, so the
 server coalesces them in flight and serves repeats from its result
-window.  Verdict-preserving knobs (``share``, ``lanes``) and the
-robustness knobs stay out of the key, exactly as they stay out of the
-obligation fingerprints.
+window.  The verdict-preserving ``family`` knob and the robustness
+knobs stay out of the key, exactly as they stay out of the obligation
+fingerprints.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ PARAM_KEYS = (
     "trace_cycles",
     "liveness_bound",
     "max_conflicts",
-    "incremental",
-    "sweep_frames",
-    "ladder",
     "absint",
-    "share",
-    "lanes",
     "family",
 )
 
@@ -60,9 +55,6 @@ KEY_PARAMS = (
     "trace_cycles",
     "liveness_bound",
     "max_conflicts",
-    "incremental",
-    "sweep_frames",
-    "ladder",
     "absint",
 )
 
@@ -127,10 +119,7 @@ def resolve_params(
         if key not in overrides:
             continue
         value = overrides[key]
-        expect_bool = key in (
-            "incremental", "sweep_frames", "ladder", "absint", "share", "family"
-        )
-        if expect_bool:
+        if key in ("absint", "family"):
             if not isinstance(value, bool):
                 raise BadRequest(f"params.{key} must be a boolean")
         elif value is not None and (

@@ -52,6 +52,38 @@ TOY_PROGRAM = [
 TOY_DMEM = {12: 99}
 
 
+@pytest.fixture()
+def one_shot_verdict():
+    """The test oracle for invariant discharge: the one-shot engines
+    (``incremental=False``, a fresh unrolling and solver per query) walking
+    the discharge escalation — k-induction at k = 1..``max_k``, then BMC
+    to ``bmc_bound``.  Returns the ``(status, method)`` the discharge
+    engine must reproduce for an obligation."""
+    from repro.formal.bmc import bmc, k_induction
+
+    def verdict(system, obligation, max_k=2, bmc_bound=8):
+        assume = list(obligation.assume)
+        for k in range(1, max_k + 1):
+            result = k_induction(
+                system, obligation.prop, k=k, assume=assume, incremental=False
+            )
+            if result.holds is True:
+                return "proved", f"{k}-induction"
+            if result.holds is False:
+                return "failed", result.method
+        result = bmc(
+            system, obligation.prop, bound=bmc_bound, assume=assume,
+            incremental=False,
+        )
+        if result.holds is True:
+            return "bounded", f"bmc({bmc_bound})"
+        if result.holds is False:
+            return "failed", f"bmc({result.bound})"
+        return "unknown", "exhausted"
+
+    return verdict
+
+
 @pytest.fixture(scope="session")
 def toy_machine() -> PreparedMachine:
     return toy.build_toy_machine(TOY_PROGRAM, TOY_DMEM)

@@ -1,16 +1,19 @@
 """Differential tests: incremental vs. from-scratch formal engines.
 
-The incremental engine (one solver + one AIG per query, frames and learned
-clauses shared across bounds — see :mod:`repro.formal.bmc`) and the
-from-scratch engine (fresh unrolling and solver per bound) are two
-implementations of the same decision procedure.  On every input they must
-agree on the verdict, and when the verdict is a counterexample, on its
-length (the first violating frame is a semantic property of the system, not
-an engine choice).
+The incremental engine (a one-member
+:class:`repro.formal.shared.SharedContext`: one solver + one AIG per
+query, frames and learned clauses shared across bounds — see
+:mod:`repro.formal.bmc`) and the from-scratch engine (fresh unrolling and
+solver per bound, the test oracle) are two implementations of the same
+decision procedure.  On every input they must agree on the verdict, and
+when the verdict is a counterexample, on its length (the first violating
+frame is a semantic property of the system, not an engine choice).
 
 Coverage: randomized small machines (registers, a memory with constant and
 symbolic reads, free inputs), the toy pipeline's generated obligations, and
-— slow-marked — every invariant obligation of the small DLX.
+— slow-marked — every invariant obligation of the small DLX.  The
+obligation suites also hold :func:`repro.proofs.discharge_invariant` to the
+oracle's status and method.
 """
 
 from __future__ import annotations
@@ -19,13 +22,8 @@ import random
 
 import pytest
 
-from repro.formal.bmc import (
-    IncrementalChecker,
-    TransitionSystem,
-    bmc,
-    k_induction,
-    prove,
-)
+from repro.formal.bmc import TransitionSystem, bmc, k_induction, prove
+from repro.formal.shared import SharedContext, SharedMember
 from repro.hdl import expr as E
 from repro.hdl.netlist import Module
 
@@ -151,23 +149,15 @@ class TestRandomMachines:
         incremental = prove(system, prop, max_k=3, incremental=True)
         _assert_agree(scratch, incremental, f"prove seed={seed}")
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_sweep_pass_preserves_verdicts(self, seed):
-        module, prop = _random_machine(seed)
-        system = TransitionSystem.from_module(module)
-        plain = prove(system, prop, max_k=3, incremental=True)
-        swept = prove(system, prop, max_k=3, incremental=True, sweep_frames=True)
-        _assert_agree(plain, swept, f"sweep seed={seed}")
-
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_one_checker_extends_across_bounds(self, seed):
-        """Growing one IncrementalChecker bound by bound matches fresh
+        """Growing one incremental checker bound by bound matches fresh
         from-scratch runs at every bound."""
         module, prop = _random_machine(seed)
         system = TransitionSystem.from_module(module)
-        checker = IncrementalChecker(system, prop)
+        checker = SharedContext(system, [SharedMember(prop)])
         for bound in range(6):
-            grown = checker.bmc_to(bound)
+            grown = checker.bmc_to(0, bound)
             fresh = bmc(system, prop, bound=bound, incremental=False)
             _assert_agree(fresh, grown, f"extend seed={seed} bound={bound}")
             if grown.holds is False:
@@ -175,8 +165,12 @@ class TestRandomMachines:
 
 
 class TestToyPipeline:
-    def test_all_toy_obligations_agree(self, toy_pipelined):
-        from repro.proofs import generate_obligations, resolve_properties
+    def test_all_toy_obligations_agree(self, toy_pipelined, one_shot_verdict):
+        from repro.proofs import (
+            discharge_invariant,
+            generate_obligations,
+            resolve_properties,
+        )
 
         obligations = generate_obligations(toy_pipelined)
         resolve_properties(toy_pipelined, obligations)
@@ -190,12 +184,17 @@ class TestToyPipeline:
                 system, obligation.prop, max_k=2, assume=assume, incremental=True
             )
             _assert_agree(scratch, incremental, obligation.oid)
+            record = discharge_invariant(system, obligation)
+            assert (record.status.value, record.method) == one_shot_verdict(
+                system, obligation
+            ), obligation.oid
 
 
 @pytest.mark.slow
-def test_all_dlx_obligations_agree():
-    """Every invariant obligation of the small DLX gets the same verdict
-    from both engines (and from the discharge escalation built on them)."""
+def test_all_dlx_obligations_agree(one_shot_verdict):
+    """Every invariant obligation of the small DLX gets the same status
+    and method from the discharge escalation as from the one-shot
+    oracle."""
     from repro.core import transform
     from repro.dlx import DlxConfig, build_dlx_machine
     from repro.dlx.programs import fibonacci
@@ -216,7 +215,7 @@ def test_all_dlx_obligations_agree():
     resolve_properties(pipelined, obligations)
     system = TransitionSystem.from_module(pipelined.module)
     for obligation in obligations.invariants():
-        scratch = discharge_invariant(system, obligation, incremental=False)
-        incremental = discharge_invariant(system, obligation, incremental=True)
-        assert scratch.status == incremental.status, obligation.oid
-        assert scratch.method == incremental.method, obligation.oid
+        record = discharge_invariant(system, obligation)
+        assert (record.status.value, record.method) == one_shot_verdict(
+            system, obligation
+        ), obligation.oid

@@ -308,34 +308,41 @@ def test_lockstep_campaign_chunks_smaller_than_catalog():
     assert lockstep.ok
 
 
-def test_faults_cli_lanes_knob(tmp_path, capsys):
-    """`repro faults --lanes` reaches DetectParams; the default comes
-    from the engine's lane width and stays out of proof fingerprints
-    (lane count is semantics-preserving)."""
+def test_faults_cli_lanes_knob(tmp_path, capsys, monkeypatch):
+    """`repro faults --lanes` reaches DetectParams, and the flag's own
+    default is 64 lanes (lane count is semantics-preserving, so it is no
+    engine parameter and never enters a proof fingerprint)."""
+    import repro.faults as faults_pkg
     from repro.cli import main as cli_main
-    from repro.jobs import EngineParams
 
-    assert EngineParams().lanes == 64
-    assert "lanes" not in EngineParams().invariant_params()
+    lanes: list[int] = []
+    original = faults_pkg.run_campaign
+
+    def spy(**kwargs):
+        lanes.append(kwargs["params"].lanes)
+        return original(**kwargs)
+
+    monkeypatch.setattr(faults_pkg, "run_campaign", spy)
     out = tmp_path / "faults.json"
-    code = cli_main(
-        [
-            "faults",
-            "--core",
-            "toy",
-            "--operator",
-            "invert-we",
-            "--lanes",
-            "4",
-            "--quiet",
-            "--json",
-            str(out),
-        ]
-    )
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["ok"] is True and payload["mutants"] >= 1
+    for extra in ([], ["--lanes", "4"]):
+        code = cli_main(
+            [
+                "faults",
+                "--core",
+                "toy",
+                "--operator",
+                "invert-we",
+                *extra,
+                "--quiet",
+                "--json",
+                str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["ok"] is True and payload["mutants"] >= 1
+    assert lanes == [64, 4]
 
 
 @pytest.mark.slow

@@ -174,6 +174,47 @@ class TestEngine:
         assert warm.uncacheable == report.uncacheable
         assert warm.cache_hits == len(toy_obligations) - report.uncacheable
 
+    def test_equivalences_through_the_engine(self, toy_machine):
+        """A tree-style toy carries two forwarding-style equivalence
+        obligations: each is a task of its own, decided by the SAT miter
+        identically in process and in the worker pool."""
+        import os
+
+        from repro.core import TransformOptions, transform
+
+        pipelined = transform(
+            toy_machine, TransformOptions(forwarding_style="tree")
+        )
+        equivalences = {
+            o.oid for o in generate_obligations(pipelined).equivalences()
+        }
+        assert len(equivalences) == 2
+        reports = {
+            jobs: discharge_jobs(
+                pipelined,
+                generate_obligations(pipelined),
+                params=EngineParams(trace_cycles=60),
+                jobs=jobs,
+            )
+            for jobs in (1, 2)
+        }
+        verdicts = {
+            jobs: [(r.oid, r.status, r.method, r.detail) for r in report.records]
+            for jobs, report in reports.items()
+        }
+        assert verdicts[1] == verdicts[2]
+        assert reports[1].ok
+        pooled = "worker" if hasattr(os, "fork") else "inline"
+        for jobs, source in ((1, "inline"), (2, pooled)):
+            decided = [
+                o for o in reports[jobs].outcomes if o.record.oid in equivalences
+            ]
+            assert len(decided) == 2
+            for outcome in decided:
+                assert outcome.record.status is Status.PROVED
+                assert outcome.record.method == "sat-equivalence"
+                assert outcome.source == source
+
     def test_report_json_shape(self, toy_pipelined, toy_obligations, tmp_path):
         report = discharge_jobs(
             toy_pipelined, toy_obligations, cache=ResultCache(tmp_path), jobs=2
@@ -245,15 +286,25 @@ def _small_dlx_pipelined():
 @pytest.mark.slow
 def test_dlx_mixed_timeout(tmp_path):
     """DLX-scale timeout machinery: a budget that cuts off the expensive
-    lemma-1 induction leaves it unknown while all others complete.  (The
-    budget sits between lemma 1's cost and every other obligation's.)"""
+    lemma-1 induction leaves it unknown while all others complete.  The
+    budget sits between lemma 1's cost and every other SAT obligation's
+    (~1.3s against at most ~0.2s on a 2-vCPU x86-64 host): at their
+    geometric mean, measured by an unbudgeted run on the host at hand."""
     pipelined = _small_dlx_pipelined()
     obligations = generate_obligations(pipelined)
+    params = EngineParams(trace_cycles=100)
+    clean = discharge_jobs(pipelined, obligations, params=params)
+    solved = {
+        o.record.oid: o.record.seconds
+        for o in clean.outcomes
+        if o.source == "group"
+    }
+    lemma1 = solved.pop("lemma1.full_iff_diff")
     report = discharge_jobs(
         pipelined,
         obligations,
-        params=EngineParams(trace_cycles=100, incremental=False),
-        timeout=0.4,
+        params=params,
+        timeout=(lemma1 * max(solved.values())) ** 0.5,
         cache=ResultCache(tmp_path),
     )
     timed_out = [o.record.oid for o in report.outcomes if o.source == "timeout"]

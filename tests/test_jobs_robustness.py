@@ -4,18 +4,16 @@ Covers the hardening added alongside the fault-injection campaign: the
 self-healing result cache (checksummed entries, eviction of corrupt or
 version-skewed records), the crash quarantine (a worker killed by a
 signal yields a structured ``crashed`` outcome, never a hang or a raw
-pool exception), retry with backoff, rlimit resource caps, the
-graceful-degradation ladder (incremental -> from-scratch -> BDD ->
-unknown) and a combined chaos run exercising all of it at once.
+pool exception), retry with backoff, rlimit resource caps, per-member
+``group-error`` degradation when the shared engine raises, and a
+combined chaos run exercising all of it at once.
 
-The sabotage pattern: workers are forked, so monkeypatching
-``repro.jobs.engine._solver_record`` (or the discharge functions it
-calls) in the parent is inherited by every child.
-
-These tests pin the *classic* per-obligation scheduler (``share=False``):
-the sabotage seam sits in the singleton worker path.  The robustness of
-grouped shared-unrolling scheduling — a SIGKILLed group worker, a forced
-mid-group timeout — is covered in ``tests/test_shared.py``.
+The sabotage pattern: workers are forked, so monkeypatching the engine's
+per-task stream ``repro.jobs.engine._solver_record`` (or the shared
+engine it drives) in the parent is inherited by every child.  Every
+invariant miss runs in a group task, so these tests exercise the one
+scheduler there is; ``tests/test_shared.py`` adds the mid-group timeout
+and hung-worker backstop cases.
 """
 
 from __future__ import annotations
@@ -28,21 +26,16 @@ import time
 
 import pytest
 
-import importlib
-
 import repro.jobs.engine as engine_mod
 
-# repro.proofs re-exports a `discharge` *function* that shadows the
-# submodule attribute, so fetch the module itself for monkeypatching
-discharge_mod = importlib.import_module("repro.proofs.discharge")
 from repro.formal.bmc import TransitionSystem, bmc, bmc_bdd
+from repro.formal.shared import SharedContext
 from repro.hdl import expr as E
 from repro.jobs import CACHE_VERSION, EngineParams, ResultCache, discharge_jobs
 from repro.jobs.cache import _entry_checksum
 from repro.proofs import (
     DischargeRecord,
     Status,
-    discharge_invariant_ladder,
     generate_obligations,
     resolve_properties,
 )
@@ -51,7 +44,7 @@ pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="worker-pool tests need fork"
 )
 
-PARAMS = EngineParams(trace_cycles=60, share=False)
+PARAMS = EngineParams(trace_cycles=60)
 
 
 @pytest.fixture()
@@ -163,12 +156,16 @@ def test_corrupted_entry_mid_campaign(tmp_path, toy_pipelined, toy_obligations):
 
 
 def _sabotage(monkeypatch, behaviour):
-    """Wrap _solver_record; forked workers inherit the patched module."""
+    """Wrap the per-task stream so ``behaviour(obligation)`` runs just
+    before each member is solved; forked workers inherit the patched
+    module."""
     original = engine_mod._solver_record
 
-    def wrapped(system, obligation, params):
-        behaviour(obligation)
-        return original(system, obligation, params)
+    def wrapped(system, obligations, params, member_timeout):
+        stream = original(system, obligations, params, member_timeout)
+        for obligation in obligations:
+            behaviour(obligation)
+            yield next(stream)
 
     monkeypatch.setattr(engine_mod, "_solver_record", wrapped)
 
@@ -186,7 +183,7 @@ def test_sigkilled_worker_becomes_structured_crash(
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
-        params=EngineParams(trace_cycles=60, max_retries=1, share=False),
+        params=EngineParams(trace_cycles=60, max_retries=1),
         jobs=2,
     )
     outcome = _record_of(report, victim)
@@ -219,7 +216,7 @@ def test_os_exit_worker_is_also_quarantined(
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
-        params=EngineParams(trace_cycles=60, max_retries=0, share=False),
+        params=EngineParams(trace_cycles=60, max_retries=0),
         jobs=2,
     )
     outcome = _record_of(report, victim)
@@ -244,12 +241,12 @@ def test_transient_crash_recovers_on_retry(
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
-        params=EngineParams(trace_cycles=60, max_retries=2, share=False),
+        params=EngineParams(trace_cycles=60, max_retries=2),
         jobs=2,
     )
     assert report.ok
     outcome = _record_of(report, victim)
-    assert outcome.source == "worker"
+    assert outcome.source == "group"
     assert outcome.attempts == 2
     assert report.crashes == 1 and report.retries == 1
     # (the relaunch delay is full-jitter — anywhere in [0, backoff] —
@@ -274,7 +271,7 @@ def test_cpu_rlimit_kills_spinning_worker(
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
-        params=EngineParams(trace_cycles=60, max_retries=0, cpu_limit_s=1, share=False),
+        params=EngineParams(trace_cycles=60, max_retries=0, cpu_limit_s=1),
         jobs=2,
     )
     outcome = _record_of(report, victim)
@@ -283,7 +280,7 @@ def test_cpu_rlimit_kills_spinning_worker(
 
 
 # ---------------------------------------------------------------------------
-# degradation ladder
+# per-member degradation inside a group
 
 
 def _toy_invariant(toy_pipelined, toy_obligations):
@@ -292,91 +289,97 @@ def _toy_invariant(toy_pipelined, toy_obligations):
     return system, toy_obligations.invariants()[0]
 
 
-def test_ladder_falls_back_to_scratch(
+def test_group_error_recorded_in_job_report(
     monkeypatch, toy_pipelined, toy_obligations
 ):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-    original = discharge_mod.discharge_invariant
-
-    def flaky(system, obligation, incremental=True, **kwargs):
-        if incremental:
-            raise RuntimeError("incremental engine sabotaged")
-        return original(system, obligation, incremental=False, **kwargs)
-
-    monkeypatch.setattr(discharge_mod, "discharge_invariant", flaky)
-    record = discharge_invariant_ladder(system, obligation)
-    assert record.ok
-    assert record.method.endswith("[scratch]")
-    assert "incremental: raised RuntimeError" in record.detail
-
-
-def test_ladder_falls_back_to_bdd(monkeypatch, toy_pipelined, toy_obligations):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-
-    def broken(system, obligation, **kwargs):
-        raise RuntimeError("CDCL sabotaged")
-
-    monkeypatch.setattr(discharge_mod, "discharge_invariant", broken)
-    record = discharge_invariant_ladder(system, obligation, bmc_bound=4)
-    assert record.status is Status.BOUNDED
-    assert record.method == "bdd(4)"
-    assert "incremental: raised" in record.detail
-    assert "scratch: raised" in record.detail
-
-
-def test_ladder_exhaustion_records_every_rung(
-    monkeypatch, toy_pipelined, toy_obligations
-):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-
-    def broken(system, obligation, **kwargs):
-        raise RuntimeError("CDCL sabotaged")
-
-    monkeypatch.setattr(discharge_mod, "discharge_invariant", broken)
-    # a 0-node budget forces the BDD rung to give up too
-    record = discharge_invariant_ladder(
-        system, obligation, bdd_max_nodes=0
+    """The shared engine raising on one member degrades that member alone
+    to ``unknown`` / ``group-error`` with the exception as its detail —
+    inline and in the worker pool alike — while its siblings keep their
+    verdicts."""
+    baseline = discharge_jobs(
+        toy_pipelined, toy_obligations, params=PARAMS, jobs=1
     )
-    assert record.status is Status.UNKNOWN
-    assert record.method == "ladder-exhausted"
-    assert "bdd(node-limit)" in record.detail
+    expected = {
+        o.record.oid: (o.record.status.value, o.record.method)
+        for o in baseline.outcomes
+    }
+    invariants = toy_obligations.invariants()
+    # a victim whose property no sibling shares (hash-consed identity)
+    victim = next(
+        o for o in invariants if sum(p.prop is o.prop for p in invariants) == 1
+    )
+    original = SharedContext.k_induction
+
+    def sabotaged(self, index, k):
+        if self.members[index].prop is victim.prop:
+            raise RuntimeError("shared engine sabotaged")
+        return original(self, index, k)
+
+    monkeypatch.setattr(SharedContext, "k_induction", sabotaged)
+    for jobs in (1, 2):
+        report = discharge_jobs(
+            toy_pipelined, toy_obligations, params=PARAMS, jobs=jobs
+        )
+        payload = json.loads(report.to_json())
+        for row in payload["obligations"]:
+            if row["oid"] == victim.oid:
+                assert row["status"] == "unknown", (jobs, row)
+                assert row["method"] == "group-error", (jobs, row)
+                assert "RuntimeError" in row["detail"], (jobs, row)
+                assert "shared engine sabotaged" in row["detail"], (jobs, row)
+            else:
+                assert (row["status"], row["method"]) == expected[row["oid"]], (
+                    jobs,
+                    row,
+                )
 
 
-def test_ladder_method_recorded_in_job_report(
+def test_stream_failure_degrades_to_worker_error(
     monkeypatch, toy_pipelined, toy_obligations
 ):
-    """Satellite: force the CDCL rungs to fail inside the *workers* and
-    assert the fallback proves the obligations with the method recorded
-    correctly in the JSON report."""
+    """A failure of a task's stream outside any one member — here the
+    shared build itself — degrades the member on the bench to
+    ``worker-error`` with the exception as its detail, never to a crash
+    or a hang; the rest of the group is requeued and meets the same
+    fate one member at a time."""
 
-    def broken(system, obligation, **kwargs):
-        raise RuntimeError("CDCL sabotaged")
+    def broken(self, system, members, **kwargs):
+        raise RuntimeError("shared build sabotaged")
 
-    monkeypatch.setattr(discharge_mod, "discharge_invariant", broken)
-    report = discharge_jobs(
-        toy_pipelined, toy_obligations, params=PARAMS, jobs=2
-    )
-    assert report.ok
-    payload = json.loads(report.to_json())
+    monkeypatch.setattr(SharedContext, "__init__", broken)
     invariant_oids = {o.oid for o in toy_obligations.invariants()}
-    rows = [o for o in payload["obligations"] if o["oid"] in invariant_oids]
-    assert rows
-    for row in rows:
-        assert row["method"] == f"bdd({PARAMS.bmc_bound})", row
-        assert row["status"] == "bounded"
+    for jobs in (1, 2):
+        report = discharge_jobs(
+            toy_pipelined, toy_obligations, params=PARAMS, jobs=jobs
+        )
+        assert report.crashes == 0
+        for outcome in report.outcomes:
+            record = outcome.record
+            if record.oid in invariant_oids:
+                assert record.status is Status.UNKNOWN, (jobs, record)
+                assert record.method == "worker-error", (jobs, record)
+                assert "shared build sabotaged" in record.detail, (jobs, record)
+            else:
+                assert record.ok, (jobs, record)
 
 
-def test_timeout_forces_ladder_inside_budget(
+def test_timeout_wins_over_hung_engine(
     monkeypatch, toy_pipelined, toy_obligations
 ):
-    """A per-obligation wall-clock timeout still wins over a ladder whose
-    every rung hangs — the worker is terminated, not waited on."""
+    """A per-obligation wall-clock timeout still wins over a shared engine
+    that hangs without ever polling its interrupt — the worker is
+    terminated, not waited on, and only the hung members time out."""
+    invariants = toy_obligations.invariants()
+    hung = {invariants[0].prop, invariants[-1].prop}
+    original = SharedContext.k_induction
 
-    def hang(system, obligation, **kwargs):
-        time.sleep(60)
+    def hang(self, index, k):
+        if self.members[index].prop in hung:
+            time.sleep(60)
+        return original(self, index, k)
 
-    monkeypatch.setattr(discharge_mod, "discharge_invariant", hang)
-    monkeypatch.setattr(discharge_mod, "bmc_bdd", lambda *a, **k: hang(None, None))
+    monkeypatch.setattr(SharedContext, "k_induction", hang)
+    monkeypatch.setattr(engine_mod, "_GROUP_GRACE", 0.5)
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
@@ -384,8 +387,11 @@ def test_timeout_forces_ladder_inside_budget(
         jobs=2,
         timeout=1.0,
     )
-    sources = {o.source for o in report.outcomes}
-    assert "timeout" in sources
+    timed_out = {o.record.oid for o in report.outcomes if o.source == "timeout"}
+    assert timed_out == {o.oid for o in invariants if o.prop in hung}
+    for outcome in report.outcomes:
+        if outcome.source != "timeout":
+            assert outcome.record.ok, outcome.record
     assert report.wall_seconds < 45
 
 
@@ -469,7 +475,7 @@ def test_chaos_run_completes_with_correct_verdicts(
     report = discharge_jobs(
         toy_pipelined,
         toy_obligations,
-        params=EngineParams(trace_cycles=60, max_retries=1, share=False),
+        params=EngineParams(trace_cycles=60, max_retries=1),
         jobs=2,
         timeout=2.0,
         cache=chaos_cache,
@@ -481,7 +487,7 @@ def test_chaos_run_completes_with_correct_verdicts(
     # the corrupt entry was evicted and its verdict recomputed correctly
     assert chaos_cache.stats.evictions == 1
     assert by_oid[corrupt_victim].record.status is Status.PROVED
-    assert by_oid[corrupt_victim].source in ("worker", "inline")
+    assert by_oid[corrupt_victim].source == "group"
     # every obligation not deliberately sabotaged has its correct verdict
     expected = {o.record.oid: o.record.status for o in baseline.outcomes}
     for oid, outcome in by_oid.items():
@@ -666,9 +672,9 @@ marker = sys.argv[1]
 cache_dir = sys.argv[2]
 
 
-def stall(system, obligation, params):
+def stall(system, obligations, params, member_timeout):
     with open(marker, "a") as handle:  # tell the parent the pool is busy
-        handle.write(obligation.oid + "\n")
+        handle.write(obligations[0].oid + "\n")
     time.sleep(120)
 
 
@@ -680,9 +686,7 @@ try:
     discharge_jobs(
         pipelined,
         obligations,
-        params=EngineParams(
-            trace_cycles=60, share=False, absint=False, max_retries=0
-        ),
+        params=EngineParams(trace_cycles=60, absint=False, max_retries=0),
         jobs=2,
         cache=ResultCache(cache_dir),
         lint_gate=False,

@@ -99,12 +99,16 @@ def test_param_resolution_rejects_unknown_and_mistyped():
     with pytest.raises(BadRequest):
         protocol.resolve_params(defaults, {"max_k": "two"})
     with pytest.raises(BadRequest):
-        protocol.resolve_params(defaults, {"share": 1})
+        protocol.resolve_params(defaults, {"family": 1})
     with pytest.raises(BadRequest):
         protocol.resolve_params(defaults, ["max_k"])
-    params, clean = protocol.resolve_params(defaults, {"max_k": 3, "share": False})
-    assert params.max_k == 3 and params.share is False
-    assert clean == {"max_k": 3, "share": False}
+    # knobs the engine no longer has are unknown keys like any other
+    for gone in ("lanes", "share", "incremental", "sweep_frames", "ladder"):
+        with pytest.raises(BadRequest):
+            protocol.resolve_params(defaults, {gone: 1})
+    params, clean = protocol.resolve_params(defaults, {"max_k": 3, "family": False})
+    assert params.max_k == 3 and params.family is False
+    assert clean == {"max_k": 3, "family": False}
     # server-side robustness knobs survive untouched
     assert params.max_retries == defaults.max_retries
 
@@ -113,11 +117,9 @@ def test_job_key_tracks_verdict_relevant_params_only():
     defaults = EngineParams()
     spec = protocol.canonical_machine_spec(TOY)
     base, _ = protocol.resolve_params(defaults, {})
-    share_off, _ = protocol.resolve_params(defaults, {"share": False})
-    lanes, _ = protocol.resolve_params(defaults, {"lanes": 8})
+    family_off, _ = protocol.resolve_params(defaults, {"family": False})
     deeper, _ = protocol.resolve_params(defaults, {"max_k": 5})
-    assert job_key(spec, base) == job_key(spec, share_off)
-    assert job_key(spec, base) == job_key(spec, lanes)
+    assert job_key(spec, base) == job_key(spec, family_off)
     assert job_key(spec, base) != job_key(spec, deeper)
     other = protocol.canonical_machine_spec({"core": "dlx-small"})
     assert job_key(spec, base) != job_key(other, base)
@@ -275,6 +277,34 @@ def test_ten_concurrent_identical_requests_one_solve(tmp_path, toy_baseline):
         assert _verdict_map(result.events) == toy_baseline
 
 
+def test_stall_holds_inline_verdicts(toy_pipelined, monkeypatch):
+    """The chaos stall wraps the per-task verdict stream, so it holds
+    verdicts of an inline (one worker, no timeout) discharge too — the
+    dedup, shedding, recovery and drain tests rely on it to keep a solve
+    open."""
+    import types
+
+    from repro.service import chaos as chaos_mod
+
+    stalls: list[float] = []
+    monkeypatch.setattr(chaos_mod, "time", types.SimpleNamespace(sleep=stalls.append))
+    restore = chaos_mod.install_stall()
+    chaos_mod.set_stall(0.05)
+    try:
+        report = discharge_jobs(
+            toy_pipelined,
+            generate_obligations(toy_pipelined),
+            params=EngineParams(trace_cycles=60),
+            jobs=1,
+        )
+    finally:
+        chaos_mod.set_stall(0.0)
+        restore()
+    assert report.ok
+    assert stalls and set(stalls) == {0.05}
+    assert len(stalls) < len(report.outcomes)  # the coin flip spares some
+
+
 # ---------------------------------------------------------------------------
 # pillar 2: admission control / backpressure
 
@@ -423,15 +453,15 @@ def test_breaker_quarantines_crashy_tenant(tmp_path, monkeypatch):
     kill_flag.touch()
     original = engine_mod._solver_record
 
-    def sabotaged(system, obligation, params):
+    def sabotaged(system, obligations, params, member_timeout):
         if kill_flag.exists():
             os.kill(os.getpid(), signal.SIGKILL)
-        return original(system, obligation, params)
+        return original(system, obligations, params, member_timeout)
 
     monkeypatch.setattr(engine_mod, "_solver_record", sabotaged)
     config = _config(
         tmp_path,
-        params=EngineParams(max_retries=0, share=False, absint=False),
+        params=EngineParams(max_retries=0, absint=False),
         breaker_threshold=1,
         breaker_cooldown=60.0,
         use_cache=False,

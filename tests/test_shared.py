@@ -1,14 +1,16 @@
 """Cross-obligation proof sharing (repro.formal.shared + group scheduling).
 
 The contract under test: grouped discharge over one shared unrolling is a
-pure *cost* optimisation — verdicts, methods and details are verbatim
-what the per-obligation engine produces — and the group scheduling mode
-degrades cleanly (a member timing out mid-group, a SIGKILLed group
-worker) to exactly the per-obligation machinery.
+pure *cost* optimisation — statuses and methods are what the one-shot
+engines (``incremental=False``, the test oracle) decide for each
+obligation on its own — and a group task degrades cleanly (a member
+timing out mid-group, a SIGKILLed or hung group worker) without costing
+its finished siblings anything.
 
-The sabotage pattern mirrors ``test_jobs_robustness``: group workers are
-forked, so monkeypatching ``repro.jobs.engine._group_records`` in the
-parent is inherited by every child.
+The sabotage pattern mirrors ``test_jobs_robustness``: workers are
+forked, so monkeypatching the engine's per-task stream
+``repro.jobs.engine._solver_record`` in the parent is inherited by every
+child.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 
 import repro.jobs.engine as engine_mod
 from repro.core import transform
-from repro.formal.bmc import IncrementalChecker, TransitionSystem
+from repro.formal.bmc import TransitionSystem, bmc, k_induction
 from repro.formal.shared import SharedContext, SharedMember, group_key
 from repro.hdl import expr as E
 from repro.hdl.netlist import Module
@@ -50,11 +52,44 @@ def _toy_invariants(toy_pipelined, toy_obligations):
     return system, toy_obligations.invariants()
 
 
-def _verdicts(report):
-    """The full observable verdict of a run, excluding cost fields."""
-    return [
-        (r.oid, r.status, r.method, r.detail) for r in report.records
-    ]
+def _oracle_verdicts(pipelined, one_shot_verdict):
+    """``{oid: (status, method)}`` of every invariant from the one-shot
+    oracle, on the obligations the engine solves: properties resolved and
+    the mined invariants injected, exactly as ``discharge_jobs`` does."""
+    from repro.absint import inject_invariants, mine_invariants
+
+    obligations = generate_obligations(pipelined)
+    resolve_properties(pipelined, obligations)
+    system = TransitionSystem.from_module(pipelined.module)
+    ordered = list(obligations)
+    mining = mine_invariants(pipelined, system=system)
+    if mining.proven:
+        ordered = inject_invariants(ordered, mining.proven, system)
+    return {
+        o.oid: one_shot_verdict(system, o)
+        for o in ordered
+        if o.kind is ObligationKind.INVARIANT
+    }
+
+
+def _assert_grouped_match_oracle(pipelined, trace_cycles, one_shot_verdict):
+    expected = _oracle_verdicts(pipelined, one_shot_verdict)
+    report = discharge_jobs(
+        pipelined,
+        generate_obligations(pipelined),
+        params=EngineParams(trace_cycles=trace_cycles),
+        jobs=2,
+    )
+    grouped = {
+        o.record.oid: (o.record.status.value, o.record.method)
+        for o in report.outcomes
+        if o.record.oid in expected
+    }
+    assert grouped == expected
+    # every invariant verdict came out of a shared-unrolling group
+    assert all(
+        o.source == "group" for o in report.outcomes if o.record.oid in expected
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +103,7 @@ def test_group_key_is_hash_consed_identity(toy_pipelined):
     assert group_key(a) == group_key(b)
 
 
-def test_shared_context_matches_incremental_checker(
+def test_shared_context_matches_one_shot_oracle(
     toy_pipelined, toy_obligations
 ):
     system, invariants = _toy_invariants(toy_pipelined, toy_obligations)
@@ -78,11 +113,14 @@ def test_shared_context_matches_incremental_checker(
         [SharedMember(o.prop, tuple(o.assume)) for o in sample],
     )
     for index, obligation in enumerate(sample):
-        solo = IncrementalChecker(
-            system, obligation.prop, assume=list(obligation.assume)
-        )
         mine = context.k_induction(index, 1)
-        theirs = solo.k_induction(1)
+        theirs = k_induction(
+            system,
+            obligation.prop,
+            k=1,
+            assume=list(obligation.assume),
+            incremental=False,
+        )
         assert mine.holds == theirs.holds, obligation.oid
         assert mine.method == theirs.method, obligation.oid
 
@@ -90,17 +128,16 @@ def test_shared_context_matches_incremental_checker(
 def test_shared_context_finds_identical_counterexample_bounds(
     toy_pipelined, toy_obligations
 ):
-    """A falsified member reports the same failure bound as the isolated
-    checker (the model itself may legitimately differ)."""
+    """A falsified member reports the same failure bound as the one-shot
+    engine (the model itself may legitimately differ)."""
     system, invariants = _toy_invariants(toy_pipelined, toy_obligations)
     good = invariants[0]
     bad_prop = E.bnot(good.prop)
     context = SharedContext(
         system, [SharedMember(good.prop), SharedMember(bad_prop)]
     )
-    solo = IncrementalChecker(system, bad_prop)
     mine = context.bmc_to(1, 4)
-    theirs = solo.bmc_to(4)
+    theirs = bmc(system, bad_prop, bound=4, incremental=False)
     assert mine.holds is False and theirs.holds is False
     assert mine.bound == theirs.bound
     assert mine.counterexample is not None
@@ -128,32 +165,16 @@ def test_shared_context_members_do_not_leak_assumptions(toy_pipelined):
     # if member 0's false assumption leaked, this bmc query would be
     # vacuously UNSAT-happy too; it must still be a real check
     assert context.bmc_to(1, 2).holds is True
-    solo = IncrementalChecker(system, prop)
-    assert solo.bmc_to(2).holds is True
+    assert bmc(system, prop, bound=2, incremental=False).holds is True
 
 
 # ---------------------------------------------------------------------------
-# Verdict equivalence: grouped == per-obligation, verbatim
+# Verdict equivalence: grouped == the one-shot oracle
 
 
 @needs_fork
-def test_grouped_verdicts_identical_toy(toy_pipelined):
-    shared = discharge_jobs(
-        toy_pipelined,
-        generate_obligations(toy_pipelined),
-        params=EngineParams(trace_cycles=60, share=True),
-        jobs=2,
-    )
-    classic = discharge_jobs(
-        toy_pipelined,
-        generate_obligations(toy_pipelined),
-        params=EngineParams(trace_cycles=60, share=False),
-        jobs=2,
-    )
-    assert _verdicts(shared) == _verdicts(classic)
-    # the shared run actually used group scheduling
-    assert any(o.source == "group" for o in shared.outcomes)
-    assert not any(o.source == "group" for o in classic.outcomes)
+def test_grouped_verdicts_identical_toy(toy_pipelined, one_shot_verdict):
+    _assert_grouped_match_oracle(toy_pipelined, 60, one_shot_verdict)
 
 
 def _dlx_small_pipelined():
@@ -191,25 +212,11 @@ halt:   j halt
 @needs_fork
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "builder", [_dlx_small_pipelined, _dlx_spec_pipelined],
+    "build", [_dlx_small_pipelined, _dlx_spec_pipelined],
     ids=["dlx-small", "dlx-spec"],
 )
-def test_grouped_verdicts_identical_dlx(builder):
-    pipelined = builder()
-    shared = discharge_jobs(
-        pipelined,
-        generate_obligations(pipelined),
-        params=EngineParams(trace_cycles=100, share=True),
-        jobs=2,
-    )
-    classic = discharge_jobs(
-        pipelined,
-        generate_obligations(pipelined),
-        params=EngineParams(trace_cycles=100, share=False),
-        jobs=2,
-    )
-    assert _verdicts(shared) == _verdicts(classic)
-    assert any(o.source == "group" for o in shared.outcomes)
+def test_grouped_verdicts_identical_dlx(build, one_shot_verdict):
+    _assert_grouped_match_oracle(build(), 100, one_shot_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +289,11 @@ def test_group_timeout_discards_late_verdicts(toy_pipelined, toy_obligations):
 
 
 def _group_sabotage(monkeypatch, behaviour):
-    """Wrap _group_records; forked group workers inherit the patch.
+    """Wrap the per-task stream; forked workers inherit the patch.
 
     ``behaviour(obligation)`` runs just before each member's record would
     be shipped."""
-    original = engine_mod._group_records
+    original = engine_mod._solver_record
 
     def wrapped(system, obligations, params, member_timeout):
         for index, record in original(
@@ -295,21 +302,24 @@ def _group_sabotage(monkeypatch, behaviour):
             behaviour(obligations[index])
             yield index, record
 
-    monkeypatch.setattr(engine_mod, "_group_records", wrapped)
+    monkeypatch.setattr(engine_mod, "_solver_record", wrapped)
 
 
 @needs_fork
 def test_sigkilled_group_worker_falls_back_cleanly(
-    monkeypatch, toy_pipelined, toy_obligations
+    monkeypatch, tmp_path, toy_pipelined, toy_obligations
 ):
     """A group worker dying mid-group loses nothing: streamed verdicts
-    stand, the unfinished members rerun per-obligation, and the run
-    completes with every verdict correct."""
+    stand, the member on the bench is relaunched alone, the members after
+    it rerun as one group, and the run completes with every verdict
+    correct."""
     invariant_oids = [o.oid for o in toy_obligations.invariants()]
     victim = invariant_oids[5]
+    flag = tmp_path / "killed-once"
 
     def behaviour(obligation):
-        if obligation.oid == victim:
+        if obligation.oid == victim and not flag.exists():
+            flag.touch()
             os.kill(os.getpid(), signal.SIGKILL)
 
     _group_sabotage(monkeypatch, behaviour)
@@ -321,13 +331,18 @@ def test_sigkilled_group_worker_falls_back_cleanly(
     )
     assert report.ok
     by_oid = {o.record.oid: o for o in report.outcomes}
-    # the victim fell back to a classic singleton worker and succeeded,
-    # carrying the group launch in its attempt count
-    assert by_oid[victim].source == "worker"
+    # the victim was relaunched alone and succeeded, carrying the group
+    # launch in its attempt count
+    assert by_oid[victim].source == "group"
     assert by_oid[victim].attempts == 2
     assert report.crashes == 1 and report.retries == 1
-    # verdicts streamed before the crash were salvaged as group results
-    assert any(o.source == "group" for o in report.outcomes)
+    # verdicts streamed before the crash stand; the members after the
+    # victim reran with a clean slate
+    assert all(
+        by_oid[oid].source == "group" and by_oid[oid].attempts == 1
+        for oid in invariant_oids
+        if oid != victim
+    )
 
 
 @needs_fork
