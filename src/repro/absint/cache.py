@@ -2,32 +2,30 @@
 
 Mining is pure in the module and the mining parameters, so a proven set
 can be reused across runs under the same content-addressed discipline
-as the PR 1 discharge cache: the key hashes the *whole module*
-fingerprint (an invariant can mention any register), the mining
-parameters, and the solver/engine/absint versions, so any change that
-could alter the proven set changes the key.
+as the discharge cache: the key hashes the *whole module* fingerprint
+(an invariant can mention any register), the mining parameters, and the
+solver/engine/absint versions, so any change that could alter the proven
+set changes the key.
 
-Records live under ``<root>/absint/`` next to the discharge records,
-are written atomically, carry a content checksum, and evict themselves
-on any load failure (crash-truncated, hand-edited, version-skewed) —
-the same self-healing contract as :class:`repro.jobs.cache.ResultCache`.
+Records are the ``absint`` namespace of the shared record store
+(:mod:`repro.store`), next to the discharge records: sealed, written
+atomically and evicted on any load failure, exactly like a verdict.
+Unchecked mining results (trace-surviving conjectures) are never stored,
+and one found on disk is rejected and evicted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..formal.bmc import ENGINE_VERSION
 from ..formal.sat import SOLVER_VERSION
 from ..hdl.netlist import Module
 from ..proofs.fingerprint import fingerprint_module
+from ..store import Store
 from .domain import ABSINT_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,36 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CACHE_VERSION = 1
 
 
-def _entry_checksum(payload: Mapping[str, object]) -> str:
-    body = {key: value for key, value in payload.items() if key != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-@dataclass
-class InvariantCacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-
-
-@dataclass
-class InvariantCache:
+class InvariantCache(Store):
     """Fingerprint-keyed store of :class:`repro.absint.mine.MiningResult`."""
 
-    root: str | os.PathLike = ".repro-cache"
-    stats: InvariantCacheStats = field(default_factory=InvariantCacheStats)
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    @property
-    def directory(self) -> Path:
-        return Path(self.root) / "absint"
-
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+    namespace = "absint"
+    version = CACHE_VERSION
 
     def key_for(self, module: Module, params: "MiningParams") -> str:
         lines = [
@@ -77,64 +50,26 @@ class InvariantCache:
         ]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    def get(self, key: str) -> "MiningResult | None":
+    def decode(self, payload: dict) -> "MiningResult":
         from .mine import MiningResult
 
-        path = self._path(key)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("cache record is not an object")
-            if payload.get("version") != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            if payload.get("checksum") != _entry_checksum(payload):
-                raise ValueError("cache checksum mismatch")
-            result = MiningResult.from_dict(payload["result"])
-            if not result.checked:
-                raise ValueError("unchecked mining result in cache")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._evict(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+        result = MiningResult.from_dict(payload["result"])
+        if not result.checked:
+            raise ValueError("unchecked mining result in cache")
         return result
 
-    def _evict(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            return
-        self.stats.evictions += 1
+    def get(self, key: str) -> "MiningResult | None":
+        return self.load(key)
 
     def put(self, key: str, result: "MiningResult") -> bool:
         """Persist a mining result; unchecked results are never stored."""
         if not result.checked:
             return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "result": result.to_dict(include_exprs=True),
-            "created": time.time(),
-        }
-        payload["checksum"] = _entry_checksum(payload)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
+        return self.save(
+            key,
+            {
+                "key": key,
+                "result": result.to_dict(include_exprs=True),
+                "created": time.time(),
+            },
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=1)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        self.stats.stores += 1
-        return True

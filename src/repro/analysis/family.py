@@ -989,10 +989,9 @@ class FamilyContext:
         fingerprint = self._validate(obligation, pipelined, system, params)
         if fingerprint is None:
             return None
-        record = self.cache.get(fingerprint)
+        record = self.cache.serve(fingerprint, self.width)
         if record is None:
             return None
-        self.cache.record_width(fingerprint, self.width)
         self.served += 1
         return (
             replace(record, oid=obligation.oid, title=obligation.title),
@@ -1120,14 +1119,13 @@ def crosscheck_family(
     )
     if not oids:
         return report
-    run_params = replace(params, family=False)
     per_width: dict[int, dict[str, str]] = {}
     for width in (spec.base_width, spec.check_width):
         pipelined = spec.instance(width)
         full = generate_obligations(pipelined)
         keep = [o for o in full if o.oid in set(oids)]
         subset = ObligationSet(machine_name=full.machine_name, obligations=keep)
-        result = discharge_jobs(pipelined, subset, params=run_params, cache=None)
+        result = discharge_jobs(pipelined, subset, params=params, cache=None)
         per_width[width] = {
             outcome.record.oid: outcome.record.status.name
             for outcome in result.outcomes

@@ -177,7 +177,6 @@ def cmd_discharge(args: argparse.Namespace) -> int:
             mem_limit_mb=args.mem_limit,
             cpu_limit_s=args.cpu_limit,
             absint=not args.no_absint,
-            family=not args.no_family,
         ),
         jobs=args.jobs,
         timeout=args.timeout,
@@ -663,41 +662,43 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .jobs import ResultCache
-    from .jobs.cache import FamilyCache
+    from .absint.cache import InvariantCache
+    from .jobs.cache import FamilyCache, ResultCache
 
-    cache = ResultCache(args.cache_dir)
     family = FamilyCache(args.cache_dir)
+    payload: dict[str, dict] = {}
+    for store in (
+        ResultCache(args.cache_dir), family, InvariantCache(args.cache_dir)
+    ):
+        if args.action == "stats":
+            entry = store.disk_stats()
+        elif args.action == "verify":
+            entry = store.verify()
+        elif args.action == "gc":
+            entry = store.gc(
+                max_age_s=args.max_age_s,
+                max_bytes=args.max_bytes,
+                dry_run=args.dry_run,
+            )
+        else:  # clear
+            entry = {"removed": store.clear()}
+        payload[store.namespace] = entry
     if args.action == "stats":
-        payload: dict = cache.disk_stats()
-        family_stats = family.disk_stats()
-        payload["family_records"] = family_stats["records"]
-        payload["family_bytes"] = family_stats["bytes"]
-        payload["family_widths"] = {
-            str(width): count
-            for width, count in sorted(family.width_histogram().items())
+        payload["family"]["widths"] = {
+            str(width): count for width, count in family.width_histogram().items()
         }
-    elif args.action == "verify":
-        payload = cache.verify()
-    elif args.action == "gc":
-        target = family if args.family_only else cache
-        payload = target.gc(
-            max_age_s=args.max_age_s,
-            max_bytes=args.max_bytes,
-            dry_run=args.dry_run,
-        )
-        if args.family_only:
-            payload["store"] = "family"
-    else:  # clear
-        payload = {"removed": cache.clear(), "family_removed": family.clear()}
     if args.json:
         print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for key, value in payload.items():
-            print(f"{key:>14}: {value}")
-    if args.action == "verify" and payload.get("evicted"):
+        for namespace, entry in payload.items():
+            print(f"[{namespace}]")
+            for key, value in entry.items():
+                print(f"{key:>14}: {value}")
+    evicted = sum(entry.get("evicted", 0) for entry in payload.values())
+    if evicted:
         # evictions self-heal the store; surface them without failing
-        print(f"note: {payload['evicted']} corrupt record(s) evicted")
+        # (on stderr, so --json output stays one JSON document)
+        print(f"note: {evicted} corrupt record(s) evicted", file=sys.stderr)
     return 0
 
 
@@ -812,11 +813,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-absint", action="store_true",
         help="skip abstract-interpretation invariant mining (obligations"
         " are discharged without mined strengthening assumptions)",
-    )
-    discharge_parser.add_argument(
-        "--no-family", action="store_true",
-        help="opt out of width-family verdict serving/seeding even when a"
-        " family certificate covers an obligation",
     )
     discharge_parser.set_defaults(func=cmd_discharge)
 
@@ -1091,15 +1087,17 @@ def main(argv: list[str] | None = None) -> int:
 
     cache_parser = sub.add_parser(
         "cache",
-        help="maintain the on-disk verdict cache: stats, checksum"
+        help="maintain the on-disk record store (discharge verdicts,"
+        " family verdicts, mined invariants): stats, checksum"
         " verification, garbage collection",
     )
     cache_parser.add_argument(
         "action", choices=("stats", "verify", "gc", "clear"),
-        help="stats: on-disk shape; verify: load every record through the"
-        " checksum gauntlet, evicting corrupt ones; gc: prune by age and"
-        " bound total size (oldest evicted first), always removing"
-        " orphaned temp files; clear: delete everything",
+        help="each action covers every namespace. stats: on-disk shape;"
+        " verify: load every record through the checksum gauntlet,"
+        " evicting corrupt ones; gc: prune by age and bound each"
+        " namespace's size (oldest evicted first), always removing"
+        " orphaned temp files; clear: delete every record",
     )
     cache_parser.add_argument(
         "--cache-dir", default=".repro-cache",
@@ -1111,16 +1109,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     cache_parser.add_argument(
         "--max-bytes", type=int, default=None, metavar="BYTES",
-        help="gc: evict oldest records until the store fits this budget",
+        help="gc: evict oldest records until each namespace fits this budget",
     )
     cache_parser.add_argument(
         "--dry-run", action="store_true",
         help="gc: report what would be removed without touching anything",
-    )
-    cache_parser.add_argument(
-        "--family-only", action="store_true",
-        help="gc: prune only the width-family verdict store"
-        " (.repro-cache/family), leaving content verdicts alone",
     )
     cache_parser.add_argument(
         "--json", action="store_true", help="emit the result as JSON"

@@ -2,7 +2,8 @@
 
 The classic sequential driver lives in :mod:`repro.proofs.discharge`; this
 package adds the orchestration layer on top of the same pure per-obligation
-functions: content-addressed result caching (:mod:`repro.jobs.cache`), a
+functions: content-addressed result caching (:mod:`repro.jobs.cache`,
+namespaces of the shared record store :mod:`repro.store`), a
 forked worker pool with per-obligation timeouts, and structured reporting
 (:mod:`repro.jobs.engine`).
 """

@@ -1,361 +1,129 @@
-"""On-disk result cache for discharged proof obligations.
+"""On-disk verdict stores for discharged proof obligations.
 
-One JSON record per obligation fingerprint, under ``.repro-cache/discharge/``
-(two-level fan-out on the first fingerprint byte to keep directories small).
-A record stores the verdict, the method that produced it, the engine
-parameters and the original compute time — enough to reconstruct a
-:class:`repro.proofs.DischargeRecord` on a warm run without touching the
-solver.
+Two namespaces of the shared record store (:mod:`repro.store`):
+
+* :class:`ResultCache` — ``<root>/discharge/``, one record per obligation
+  fingerprint.  A record holds the verdict, the method that produced it,
+  the engine parameters and the original compute time: enough to rebuild
+  a :class:`repro.proofs.DischargeRecord` on a warm run without touching
+  the solver.
+* :class:`FamilyCache` — ``<root>/family/``, one record per *family*
+  fingerprint (see :mod:`repro.analysis.family`), the same verdict fields
+  plus the widths it has served.
 
 Only *successful* verdicts (proved / bounded / trace-ok) are persisted:
 failures and unknowns are exactly the outcomes a developer reruns after a
-change, and a changed design changes the fingerprint anyway.
-
-The store is **self-healing**: records are written atomically (temp file +
-rename) so a killed run never leaves a half-written record, every record
-carries a content checksum, and any record that fails to load — truncated
-by a crash, hand-edited, checksum-mismatched, or written by a different
-cache version — is *evicted* (deleted) and read as a miss, so the verdict
-is recomputed and re-stored instead of poisoning every later run.
+change, and a changed design changes the fingerprint anyway.  Sealing,
+atomic writes and the eviction of any record that fails to load are the
+store's (:class:`repro.store.Store`), so both namespaces self-heal alike.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from ..proofs.discharge import DischargeRecord, Status
+from ..store import DEFAULT_CACHE_DIR, CacheStats, Store
+
+__all__ = [
+    "CACHE_VERSION",
+    "DEFAULT_CACHE_DIR",
+    "CacheStats",
+    "FamilyCache",
+    "ResultCache",
+]
 
 # 2: record layout gained conflicts/frames profile fields (incremental engine)
 # 3: records carry a content checksum; unreadable records are evicted
 CACHE_VERSION = 3
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 _CACHEABLE = (Status.PROVED, Status.BOUNDED, Status.TRACE_OK)
 
 
-def _entry_checksum(payload: Mapping[str, object]) -> str:
-    """Checksum over the canonical JSON form, ``checksum`` key excluded."""
-    body = {key: value for key, value in payload.items() if key != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _record_payload(
+    fingerprint: str,
+    record: DischargeRecord,
+    params: Mapping[str, object] | None,
+) -> dict:
+    return {
+        "fingerprint": fingerprint,
+        "oid": record.oid,
+        "title": record.title,
+        "status": record.status.value,
+        "method": record.method,
+        "detail": record.detail,
+        "seconds": record.seconds,
+        "conflicts": record.conflicts,
+        "frames": record.frames,
+        "params": dict(params or {}),
+        "created": time.time(),
+    }
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`ResultCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0  # corrupt / stale records deleted on load
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+def _record_from(payload: dict) -> DischargeRecord:
+    record = DischargeRecord(
+        oid=payload["oid"],
+        title=payload["title"],
+        status=Status(payload["status"]),
+        method=payload["method"],
+        detail=payload.get("detail", ""),
+        seconds=float(payload.get("seconds", 0.0)),
+        conflicts=int(payload.get("conflicts", 0)),
+        frames=int(payload.get("frames", 0)),
+    )
+    if not record.ok:  # defensive: never reuse a non-verdict
+        raise ValueError("stored record is not a verdict")
+    return record
 
 
-@dataclass
-class ResultCache:
+class ResultCache(Store):
     """Fingerprint-keyed persistent store of discharge verdicts."""
 
-    root: str | os.PathLike = DEFAULT_CACHE_DIR
-    stats: CacheStats = field(default_factory=CacheStats)
+    namespace = "discharge"
+    version = CACHE_VERSION
 
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    @property
-    def directory(self) -> Path:
-        return Path(self.root) / "discharge"
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / fingerprint[:2] / f"{fingerprint}.json"
+    def decode(self, payload: dict) -> DischargeRecord:
+        return _record_from(payload)
 
     def get(self, fingerprint: str) -> DischargeRecord | None:
         """Look up a verdict; corrupt or stale records are evicted as misses."""
-        path = self._path(fingerprint)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("cache record is not an object")
-            if payload.get("version") != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            if payload.get("checksum") != _entry_checksum(payload):
-                raise ValueError("cache checksum mismatch")
-            record = DischargeRecord(
-                oid=payload["oid"],
-                title=payload["title"],
-                status=Status(payload["status"]),
-                method=payload["method"],
-                detail=payload.get("detail", ""),
-                seconds=float(payload.get("seconds", 0.0)),
-                conflicts=int(payload.get("conflicts", 0)),
-                frames=int(payload.get("frames", 0)),
-            )
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._evict(path)
-            self.stats.misses += 1
-            return None
-        if not record.ok:  # defensive: never reuse a non-verdict
-            self._evict(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return record
-
-    def _evict(self, path: Path) -> None:
-        """Delete a record that failed to load so it gets recomputed."""
-        try:
-            path.unlink()
-        except OSError:
-            return
-        self.stats.evictions += 1
+        return self.load(fingerprint)
 
     def put(
         self,
         fingerprint: str,
         record: DischargeRecord,
         params: Mapping[str, object] | None = None,
-        extra: Mapping[str, object] | None = None,
     ) -> bool:
-        """Persist a verdict; returns False for non-cacheable statuses.
-
-        ``extra`` keys are merged into the payload *under* the checksum —
-        subclasses (the family store) use them for their own metadata.
-        """
+        """Persist a verdict; returns False for non-cacheable statuses."""
         if record.status not in _CACHEABLE:
             return False
-        path = self._path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "fingerprint": fingerprint,
-            "oid": record.oid,
-            "title": record.title,
-            "status": record.status.value,
-            "method": record.method,
-            "detail": record.detail,
-            "seconds": record.seconds,
-            "conflicts": record.conflicts,
-            "frames": record.frames,
-            "params": dict(params or {}),
-            "created": time.time(),
-        }
-        if extra:
-            payload.update(extra)
-        payload["checksum"] = _entry_checksum(payload)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}.", suffix=".tmp"
-        )
-        try:
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, indent=1)
-                os.replace(tmp, path)
-            except OSError:
-                return False
-        finally:
-            # unlink on *any* unwind — an OSError above, but also a
-            # KeyboardInterrupt/SIGTERM drain mid-write: a killed run must
-            # not litter the store with orphaned temp files
-            if os.path.exists(tmp):
-                try:
-                    os.unlink(tmp)
-                except OSError:  # pragma: no cover - unlink race
-                    pass
-        self.stats.stores += 1
-        return True
+        return self.save(fingerprint, _record_payload(fingerprint, record, params))
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))
-
-    # -- offline maintenance (``repro cache``) ---------------------------------
-
-    def entries(self) -> list[Path]:
-        """Every record file, sorted for deterministic iteration."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob("*/*.json"))
-
-    def tmp_files(self) -> list[Path]:
-        """Orphaned atomic-write temp files (a crashed writer's litter)."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob("*/.*.tmp"))
-
-    @staticmethod
-    def _created(path: Path) -> float:
-        """A record's creation time: the journal'd ``created`` field when
-        the payload is readable, the filesystem mtime otherwise (a corrupt
-        record still needs an age for gc ordering)."""
-        try:
-            with open(path) as handle:
-                created = json.load(handle).get("created")
-            if isinstance(created, (int, float)):
-                return float(created)
-        except (OSError, ValueError):
-            pass
-        try:
-            return path.stat().st_mtime
-        except OSError:  # pragma: no cover - deleted underfoot
-            return 0.0
-
-    def disk_stats(self) -> dict[str, object]:
-        """On-disk shape of the store: record/byte counts and age range."""
-        sizes: list[int] = []
-        created: list[float] = []
-        for path in self.entries():
-            try:
-                sizes.append(path.stat().st_size)
-            except OSError:  # pragma: no cover - deleted underfoot
-                continue
-            created.append(self._created(path))
-        now = time.time()
-        return {
-            "root": str(self.root),
-            "records": len(sizes),
-            "bytes": sum(sizes),
-            "tmp_files": len(self.tmp_files()),
-            "oldest_age_s": round(now - min(created), 1) if created else 0.0,
-            "newest_age_s": round(now - max(created), 1) if created else 0.0,
-        }
-
-    def verify(self) -> dict[str, int]:
-        """Load every record through the checksum/version gauntlet.
-
-        Corrupt, forged, version-skewed or non-verdict records are evicted
-        exactly as a live lookup would evict them — this just does it for
-        the whole store at once, so a damaged cache is healed offline
-        instead of one surprise miss at a time."""
-        scanned = ok = 0
-        evictions_before = self.stats.evictions
-        for path in self.entries():
-            scanned += 1
-            if self.get(path.stem) is not None:
-                ok += 1
-        return {
-            "scanned": scanned,
-            "ok": ok,
-            "evicted": self.stats.evictions - evictions_before,
-        }
-
-    def gc(
-        self,
-        max_age_s: float | None = None,
-        max_bytes: int | None = None,
-        dry_run: bool = False,
-        now: float | None = None,
-    ) -> dict[str, object]:
-        """Evict by age and bound the store's total size (oldest first).
-
-        Orphaned temp files are always pruned.  ``dry_run`` reports what
-        would be removed without touching anything.  Returns removal and
-        retention counts; eviction order is by record creation time, so
-        the warmest verdicts survive a size squeeze."""
-        now = time.time() if now is None else now
-        survivors: list[tuple[float, int, Path]] = []
-        removed = removed_bytes = 0
-        tmp_removed = 0
-        for tmp in self.tmp_files():
-            if not dry_run:
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - unlink race
-                    continue
-            tmp_removed += 1
-        for path in self.entries():
-            try:
-                size = path.stat().st_size
-            except OSError:  # pragma: no cover - deleted underfoot
-                continue
-            created = self._created(path)
-            if max_age_s is not None and now - created > max_age_s:
-                removed += 1
-                removed_bytes += size
-                if not dry_run:
-                    self._evict(path)
-                continue
-            survivors.append((created, size, path))
-        if max_bytes is not None:
-            survivors.sort()  # oldest first
-            total = sum(size for _, size, _ in survivors)
-            while survivors and total > max_bytes:
-                _, size, path = survivors.pop(0)
-                total -= size
-                removed += 1
-                removed_bytes += size
-                if not dry_run:
-                    self._evict(path)
-        return {
-            "removed": removed,
-            "removed_bytes": removed_bytes,
-            "tmp_removed": tmp_removed,
-            "kept": len(survivors),
-            "kept_bytes": sum(size for _, size, _ in survivors),
-            "dry_run": dry_run,
-        }
-
-    def clear(self) -> int:
-        """Delete every record; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*/*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def snapshot_stats(self) -> dict[str, float]:
-        return {**asdict(self.stats), "hit_rate": self.stats.hit_rate}
+        return len(self.entries())
 
 
-@dataclass
-class FamilyCache(ResultCache):
-    """Width-erased *family* verdicts, under ``.repro-cache/family/``.
+def _widths(payload: dict) -> set[int]:
+    return {w for w in payload.get("widths") or () if isinstance(w, int)}
+
+
+class FamilyCache(Store):
+    """Width-erased *family* verdicts, under ``<root>/family/``.
 
     Keys are family fingerprints (digests of width-generic obligation
-    templates, see :mod:`repro.analysis.family`), so one entry serves the
-    obligation at every width the certificate covers.  Each record
-    additionally journals the family metadata — the cutoff (base) width,
-    the sorted list of widths it has actually been served or seeded at,
-    and the core name — all under the content checksum, and all folded
-    back in on the read-modify-write width merge.  Everything else
-    (atomic writes, checksum gauntlet, eviction, gc) is inherited.
+    templates), so one record serves the obligation at every width the
+    certificate covers.  Besides the verdict, a record journals the
+    cutoff (base) width, the sorted widths it has been seeded or served
+    at, and the core name.
     """
 
-    @property
-    def directory(self) -> Path:
-        return Path(self.root) / "family"
+    namespace = "family"
+    version = CACHE_VERSION
 
-    def _payload(self, fingerprint: str) -> dict | None:
-        """Raw payload of a record that passes the load gauntlet."""
-        if self.get(fingerprint) is None:
-            return None
-        try:
-            with open(self._path(fingerprint)) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):  # pragma: no cover - racing eviction
-            return None
-        return payload if isinstance(payload, dict) else None
+    def decode(self, payload: dict) -> DischargeRecord:
+        return _record_from(payload)
 
     def put_family(
         self,
@@ -367,57 +135,37 @@ class FamilyCache(ResultCache):
         params: Mapping[str, object] | None = None,
     ) -> bool:
         """Store (or widen) a family verdict."""
-        widths = {int(width)}
-        prior = self._payload(fingerprint)
-        if prior is not None:
-            for known in prior.get("widths") or []:
-                if isinstance(known, int):
-                    widths.add(known)
-        return self.put(
+        if record.status not in _CACHEABLE:
+            return False
+        widths = {int(width)} | (self.load(fingerprint, _widths) or set())
+        return self.save(
             fingerprint,
-            record,
-            params=params,
-            extra={
+            {
+                **_record_payload(fingerprint, record, params),
                 "base_width": int(base_width),
                 "widths": sorted(widths),
                 "core": core,
             },
         )
 
-    def record_width(self, fingerprint: str, width: int) -> bool:
-        """Note that an existing verdict served another width."""
-        payload = self._payload(fingerprint)
-        if payload is None:
-            return False
-        widths = [w for w in payload.get("widths") or [] if isinstance(w, int)]
-        if width in widths:
-            return True
-        record = self.get(fingerprint)
-        if record is None:  # pragma: no cover - racing eviction
-            return False
-        return self.put(
-            fingerprint,
-            record,
-            params=payload.get("params"),
-            extra={
-                "base_width": payload.get("base_width"),
-                "widths": sorted({*widths, int(width)}),
-                "core": payload.get("core", ""),
-            },
-        )
+    def serve(self, fingerprint: str, width: int) -> DischargeRecord | None:
+        """The verdict under ``fingerprint``, noting that it served
+        ``width``: one read, plus one write the first time a width is
+        served."""
+        found = self.load(fingerprint, lambda p: (_record_from(p), p))
+        if found is None:
+            return None
+        record, payload = found
+        widths = _widths(payload)
+        if width not in widths:
+            payload.update(widths=sorted(widths | {width}), created=time.time())
+            self.save(fingerprint, payload)
+        return record
 
     def width_histogram(self) -> dict[int, int]:
         """How many family verdicts cover each width (``repro cache stats``)."""
         histogram: dict[int, int] = {}
         for path in self.entries():
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            for width in payload.get("widths") or []:
-                if isinstance(width, int):
-                    histogram[width] = histogram.get(width, 0) + 1
+            for width in _widths(self.peek(path)):
+                histogram[width] = histogram.get(width, 0) + 1
         return dict(sorted(histogram.items()))

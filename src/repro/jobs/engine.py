@@ -1052,22 +1052,23 @@ def discharge_jobs(
             # obligation's cone is a measurable slice of a cold run
             fingerprint = None
 
-        cached = cache.get(fingerprint) if cache and fingerprint else None
-        if cached is not None:
-            report.cache_hits += 1
-            outcome_by_position[position] = emit(
-                JobOutcome(
-                    # content-identical obligations share a fingerprint; the
-                    # verdict transfers but the identity must be this one's
-                    record=replace(
-                        cached, oid=obligation.oid, title=obligation.title
-                    ),
-                    fingerprint=fingerprint,
-                    source="cache",
-                )
-            )
-            continue
         if cache is not None and fingerprint is not None:
+            cached = cache.get(fingerprint)
+            if cached is not None:
+                report.cache_hits += 1
+                outcome_by_position[position] = emit(
+                    JobOutcome(
+                        # content-identical obligations share a fingerprint;
+                        # the verdict transfers but the identity must be
+                        # this one's
+                        record=replace(
+                            cached, oid=obligation.oid, title=obligation.title
+                        ),
+                        fingerprint=fingerprint,
+                        source="cache",
+                    )
+                )
+                continue
             report.cache_misses += 1
 
         member = (position, obligation, fingerprint)

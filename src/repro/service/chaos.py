@@ -11,8 +11,9 @@ injector thread applies fault operators:
   (the engine's crash-retry path absorbs it; total kills are capped at
   the service's retry depth so no group can ever exhaust its budget —
   the campaign verifies delivery integrity, not retry-lottery luck);
-* ``cache_corrupt`` — scribble bytes into a random verdict-cache record
-  (the checksum gauntlet evicts and recomputes it);
+* ``cache_corrupt`` — scribble bytes into a random record of the store,
+  whichever namespace holds it (discharge verdict, family verdict or
+  mined invariants): the checksum gauntlet evicts and recomputes it;
 * ``journal_truncate`` — chop the tail off the write-ahead journal, the
   torn-line shape a power cut leaves (``scan`` skips, never misreads);
 * ``solver_stall`` — wrap the solver so obligations randomly sleep
@@ -204,7 +205,8 @@ def _op_worker_kill(rng: random.Random, root: Path) -> bool:
 
 
 def _op_cache_corrupt(rng: random.Random, root: Path) -> bool:
-    records = sorted((root / "cache" / "discharge").glob("*/*.json"))
+    # any namespace of the store: discharge, family and absint records
+    records = sorted((root / "cache").glob("*/*/*.json"))
     if not records:
         return False
     victim = rng.choice(records)

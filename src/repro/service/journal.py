@@ -9,8 +9,9 @@ The service journals every job transition to an append-only NDJSON file
   verdict line is fanned out to subscribers;
 * ``done`` — the job's terminal summary.
 
-Like the result cache (:mod:`repro.jobs.cache`) every record carries a
-content checksum, so a record is either provably intact or ignored.  A
+Every line is one record sealed by the same codec as the on-disk caches
+(:func:`repro.store.seal`: a version field plus a SHA-256 over canonical
+JSON), so a record is either provably intact or ignored.  A
 SIGKILLed server leaves at worst one torn final line; :func:`scan`
 tolerates torn and corrupted lines by skipping them (counting what it
 skipped) and rebuilds the set of *accepted-but-undischarged* jobs, which
@@ -21,35 +22,31 @@ result, and a job is only ever dropped if its ``accepted`` record never
 reached the disk (in which case the client never got an acknowledgement
 either).
 
-Compaction rewrites the file atomically keeping only records of jobs
-that are still incomplete; the service compacts on startup (after
-recovery) and on drain.
+Compaction rewrites the file through the store's atomic write
+(:func:`repro.store.atomic_write`, fsynced before the rename) keeping
+only records of jobs that are still incomplete; the service compacts on
+startup (after recovery) and on drain.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-JOURNAL_VERSION = 1
+from ..store import atomic_write, seal, unseal
+
+# 2: lines are sealed by repro.store (version + full SHA-256 checksum)
+JOURNAL_VERSION = 2
 DEFAULT_JOURNAL = "journal.ndjson"
 
 
-def _line_checksum(payload: dict) -> str:
-    body = {key: value for key, value in payload.items() if key != "sum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _sealed(payload: dict) -> str:
-    payload = dict(payload)
-    payload["sum"] = _line_checksum(payload)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _line(payload: dict) -> str:
+    """One timestamped, sealed journal line (without the newline)."""
+    sealed = seal({"t": round(time.time(), 3), **payload}, JOURNAL_VERSION)
+    return json.dumps(sealed, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -92,16 +89,10 @@ def scan(path: str | os.PathLike) -> JournalState:
         for raw in handle:
             state.lines += 1
             try:
-                payload = json.loads(raw.decode("utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("journal line is not an object")
-                if payload.get("v") != JOURNAL_VERSION:
-                    raise ValueError("journal version mismatch")
-                if payload.get("sum") != _line_checksum(payload):
-                    raise ValueError("journal checksum mismatch")
+                payload = unseal(raw.decode("utf-8"), JOURNAL_VERSION)
                 kind = payload["type"]
                 key = payload["job"]
-            except (ValueError, KeyError, UnicodeDecodeError):
+            except (ValueError, KeyError):
                 state.skipped += 1
                 continue
             if kind == "accepted":
@@ -136,8 +127,7 @@ class Journal:
         self.appended = 0
 
     def _append(self, payload: dict) -> None:
-        line = _sealed({"v": JOURNAL_VERSION, "t": round(time.time(), 3), **payload})
-        self._handle.write(line + "\n")
+        self._handle.write(_line(payload) + "\n")
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
@@ -174,10 +164,8 @@ class Journal:
             if job.key not in keep:
                 continue
             kept_lines.append(
-                _sealed(
+                _line(
                     {
-                        "v": JOURNAL_VERSION,
-                        "t": round(time.time(), 3),
                         "type": "accepted",
                         "job": job.key,
                         "tenant": job.tenant,
@@ -185,36 +173,21 @@ class Journal:
                     }
                 )
             )
-            for outcome in job.verdicts.values():
-                kept_lines.append(
-                    _sealed(
-                        {
-                            "v": JOURNAL_VERSION,
-                            "t": round(time.time(), 3),
-                            "type": "verdict",
-                            "job": job.key,
-                            "outcome": outcome,
-                        }
-                    )
-                )
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".journal.", suffix=".tmp"
-        )
+            kept_lines.extend(
+                _line({"type": "verdict", "job": job.key, "outcome": outcome})
+                for outcome in job.verdicts.values()
+            )
+        self._handle.close()
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for line in kept_lines:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._handle.close()
-            os.replace(tmp, self.path)
+            atomic_write(
+                self.path,
+                lambda handle: handle.writelines(
+                    line + "\n" for line in kept_lines
+                ),
+                fsync=True,
+            )
         finally:
-            if os.path.exists(tmp):
-                try:
-                    os.unlink(tmp)
-                except OSError:  # pragma: no cover - unlink race
-                    pass
-        self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle = open(self.path, "a", encoding="utf-8")
         return state.lines - len(kept_lines)
 
     def close(self) -> None:

@@ -22,8 +22,9 @@ Robustness is the architecture, not a bolt-on:
   rlimit caps (:class:`repro.jobs.EngineParams`) bound what any one
   tenant's obligation can take from the host.
 * **write-ahead job journal** — every acceptance, verdict and completion
-  is journalled (checksummed, append-only;
-  :mod:`repro.service.journal`) before it is acknowledged downstream.  A
+  is journalled (append-only, each line sealed by the record codec the
+  caches use; :mod:`repro.service.journal`) before it is acknowledged
+  downstream.  A
   SIGKILLed server re-enqueues accepted-but-undischarged jobs on
   restart; verdicts already journalled are never journalled twice, so
   recovery delivers each accepted job's result at most once with zero
@@ -525,7 +526,9 @@ class DischargeService:
                 }
                 for name, t in sorted(self.tenants.items())
             },
-            "cache": self.cache.snapshot_stats() if self.cache else None,
+            "cache": (
+                self.cache.snapshot_stats() if self.cache is not None else None
+            ),
             "journal_appended": self.journal.appended,
             **asdict(self.stats),
         }
@@ -601,6 +604,14 @@ class HttpFront:
             except Exception:
                 pass
         finally:
+            # forked solver workers inherit this socket, so closing our
+            # copy ends the response only once they exit; shutting the
+            # write side down ends it now
+            try:
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except OSError:
+                pass  # the peer is gone already
             try:
                 writer.close()
                 await writer.wait_closed()

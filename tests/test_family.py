@@ -487,16 +487,29 @@ class TestFamilyCache:
         cache = FamilyCache(tmp_path)
         fp = "f" * 24
         assert cache.put_family(fp, self._record(), base_width=8, width=8, core="toy")
-        assert cache.get(fp) is not None
+        assert cache.load(fp) is not None
         assert cache.width_histogram() == {8: 1}
-        assert cache.record_width(fp, 16)
-        assert cache.record_width(fp, 16)  # idempotent
+        assert cache.serve(fp, 16) is not None
+        assert cache.serve(fp, 16) is not None  # idempotent
         assert cache.width_histogram() == {8: 1, 16: 1}
         cache.put_family(fp, self._record(), base_width=8, width=32, core="toy")
         assert cache.width_histogram() == {8: 1, 16: 1, 32: 1}
 
+    def test_serve_reads_the_record_once(self, tmp_path):
+        fp = "e" * 24
+        FamilyCache(tmp_path).put_family(fp, self._record(), base_width=8, width=8)
+        cache = FamilyCache(tmp_path)
+        assert cache.serve(fp, 16).status.value == "proved"
+        # one read; the new width is written back once
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (1, 0, 1)
+        assert cache.serve(fp, 16) is not None
+        assert (cache.stats.hits, cache.stats.stores) == (2, 1)
+        assert cache.width_histogram() == {8: 1, 16: 1}
+
     def test_record_width_unknown_fingerprint(self, tmp_path):
-        assert FamilyCache(tmp_path).record_width("0" * 24, 16) is False
+        cache = FamilyCache(tmp_path)
+        assert cache.serve("0" * 24, 16) is None
+        assert cache.entries() == []
 
     def test_family_store_is_disjoint_from_content_store(self, tmp_path):
         from repro.jobs import ResultCache
@@ -705,40 +718,13 @@ class TestCli:
         stats = main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert stats == 0
-        assert payload["family_records"] > 0
-        assert payload["family_bytes"] > 0
-        assert set(payload["family_widths"]) >= {"8", "16", "32"}
-
-        # gc --family-only targets the family store alone
-        assert main(
-            [
-                "cache", "gc", "--family-only", "--dry-run",
-                "--cache-dir", str(tmp_path), "--json",
-            ]
-        ) == 0
-        gc_payload = json.loads(capsys.readouterr().out)
-        assert gc_payload["store"] == "family"
+        assert payload["family"]["records"] > 0
+        assert payload["family"]["bytes"] > 0
+        assert set(payload["family"]["widths"]) >= {"8", "16", "32"}
 
         assert main(["cache", "clear", "--cache-dir", str(tmp_path), "--json"]) == 0
         clear_payload = json.loads(capsys.readouterr().out)
-        assert clear_payload["family_removed"] > 0
-
-    def test_discharge_parser_accepts_no_family(self, monkeypatch):
-        # the opt-out flag parses and reaches the discharge command
-        import repro.cli as cli
-
-        captured = {}
-
-        def fake_cmd(args):
-            captured["no_family"] = args.no_family
-            return 0
-
-        monkeypatch.setattr(cli, "cmd_discharge", fake_cmd)
-        assert cli.main(["discharge", "prog.s", "--no-family"]) == 0
-        assert captured["no_family"] is True
-        captured.clear()
-        assert cli.main(["discharge", "prog.s"]) == 0
-        assert captured["no_family"] is False
+        assert clear_payload["family"]["removed"] > 0
 
 
 class TestLintExitCode:

@@ -129,6 +129,26 @@ class TestEngine:
             o.oid for o in toy_obligations
         )
 
+    def test_warm_run_never_counts_the_cache(
+        self, toy_pipelined, toy_obligations, tmp_path, monkeypatch
+    ):
+        # the engine tests the cache by identity: a truth test would glob
+        # every record once per lookup, and skip lookups on an empty cache
+        walks = []
+        counted = ResultCache.__len__
+
+        def spy(self):
+            walks.append(self)
+            return counted(self)
+
+        monkeypatch.setattr(ResultCache, "__len__", spy)
+        cache = ResultCache(tmp_path)
+        cold = discharge_jobs(toy_pipelined, toy_obligations, cache=cache, jobs=1)
+        assert cache.stats.misses == cold.cache_misses > 0
+        warm = discharge_jobs(toy_pipelined, toy_obligations, cache=cache, jobs=1)
+        assert warm.hit_rate == 1.0
+        assert walks == []
+
     def test_matches_sequential_driver(self, toy_pipelined, toy_obligations):
         sequential = discharge(toy_pipelined, toy_obligations, conjoin=False)
         parallel = discharge_jobs(toy_pipelined, toy_obligations, jobs=2)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import signal
 import time
 
@@ -28,17 +29,19 @@ import pytest
 
 import repro.jobs.engine as engine_mod
 
+from repro.absint import InvariantCache, MiningResult
 from repro.formal.bmc import TransitionSystem, bmc, bmc_bdd
 from repro.formal.shared import SharedContext
 from repro.hdl import expr as E
 from repro.jobs import CACHE_VERSION, EngineParams, ResultCache, discharge_jobs
-from repro.jobs.cache import _entry_checksum
+from repro.jobs.cache import FamilyCache
 from repro.proofs import (
     DischargeRecord,
     Status,
     generate_obligations,
     resolve_properties,
 )
+from repro.store import seal, unseal
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="worker-pool tests need fork"
@@ -57,10 +60,32 @@ def _record_of(report, oid):
 
 
 # ---------------------------------------------------------------------------
-# self-healing cache
+# self-healing store: every namespace (discharge, family, absint)
+
+NAMESPACES = ("discharge", "family", "absint")
+RECORD = DischargeRecord(
+    oid="x", title="t", status=Status.PROVED, method="1-induction"
+)
 
 
-def _one_entry(cache: ResultCache):
+def _store(namespace: str, root):
+    """A store of ``namespace`` plus ``put(key)``, which writes one valid
+    record into it."""
+    if namespace == "discharge":
+        store = ResultCache(root)
+        return store, lambda key: store.put(key, RECORD)
+    if namespace == "family":
+        store = FamilyCache(root)
+        return store, lambda key: store.put_family(
+            key, RECORD, base_width=8, width=8, core="toy"
+        )
+    store = InvariantCache(root)
+    return store, lambda key: store.put(
+        key, MiningResult(module_name="m", candidates=1, survivors=1, proven=[])
+    )
+
+
+def _one_entry(cache):
     paths = list(cache.directory.glob("*/*.json"))
     assert paths, "expected at least one cached record"
     return paths[0]
@@ -68,65 +93,70 @@ def _one_entry(cache: ResultCache):
 
 def test_cache_roundtrip_carries_checksum(tmp_path):
     cache = ResultCache(tmp_path)
-    record = DischargeRecord(
-        oid="x", title="t", status=Status.PROVED, method="1-induction"
-    )
-    assert cache.put("ab" * 32, record)
-    payload = json.loads(_one_entry(cache).read_text())
-    assert payload["version"] == CACHE_VERSION
-    assert payload["checksum"] == _entry_checksum(payload)
+    assert cache.put("ab" * 32, RECORD)
+    payload = unseal(_one_entry(cache).read_text(), CACHE_VERSION)
+    assert list(payload)[0] == "version" and list(payload)[-1] == "checksum"
     assert cache.get("ab" * 32).status is Status.PROVED
     assert cache.stats.hits == 1
 
 
-def test_truncated_entry_evicted_and_recomputed(tmp_path):
-    cache = ResultCache(tmp_path)
-    record = DischargeRecord(
-        oid="x", title="t", status=Status.PROVED, method="1-induction"
-    )
-    cache.put("cd" * 32, record)
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_truncated_entry_evicted_and_recomputed(tmp_path, namespace):
+    cache, put = _store(namespace, tmp_path)
+    assert put("cd" * 32)
     path = _one_entry(cache)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    assert cache.get("cd" * 32) is None
+    assert cache.load("cd" * 32) is None
     assert cache.stats.evictions == 1
     assert not path.exists(), "corrupt record must be deleted"
     # the slot is clean again: a re-store round-trips
-    assert cache.put("cd" * 32, record)
-    assert cache.get("cd" * 32) is not None
+    assert put("cd" * 32)
+    assert cache.load("cd" * 32) is not None
 
 
-def test_hand_edited_entry_fails_checksum(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(
-        "ef" * 32,
-        DischargeRecord(
-            oid="x", title="t", status=Status.PROVED, method="1-induction"
-        ),
-    )
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_hand_edited_entry_fails_checksum(tmp_path, namespace):
+    cache, put = _store(namespace, tmp_path)
+    put("ef" * 32)
     path = _one_entry(cache)
     payload = json.loads(path.read_text())
-    payload["status"] = "trace-ok"  # forge the verdict, keep valid JSON
+    # forge what the record claims, keep valid JSON
+    if "status" in payload:
+        payload["status"] = "trace-ok"
+    else:
+        payload["result"]["candidates"] += 1
     path.write_text(json.dumps(payload))
-    assert cache.get("ef" * 32) is None
+    assert cache.load("ef" * 32) is None
     assert cache.stats.evictions == 1
     assert not path.exists()
 
 
-def test_version_skewed_entry_evicted(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(
-        "0a" * 32,
-        DischargeRecord(
-            oid="x", title="t", status=Status.PROVED, method="1-induction"
-        ),
-    )
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_version_skewed_entry_evicted(tmp_path, namespace):
+    cache, put = _store(namespace, tmp_path)
+    put("0a" * 32)
     path = _one_entry(cache)
     payload = json.loads(path.read_text())
-    payload["version"] = CACHE_VERSION - 1
-    payload["checksum"] = _entry_checksum(payload)
-    path.write_text(json.dumps(payload))
-    assert cache.get("0a" * 32) is None
+    path.write_text(json.dumps(seal(payload, cache.version - 1)))
+    assert cache.load("0a" * 32) is None
     assert cache.stats.evictions == 1
+
+
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_interrupted_write_leaves_no_temp_file(tmp_path, namespace, monkeypatch):
+    """A write killed mid-dump (Ctrl-C, a SIGTERM drain) unwinds without
+    leaving a record or a temp file behind."""
+    cache, put = _store(namespace, tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        put("ab" * 32)
+    monkeypatch.undo()
+    assert cache.entries() == [] and cache.tmp_files() == []
+    assert list(cache.directory.rglob("*.tmp")) == []
 
 
 def test_corrupted_entry_mid_campaign(tmp_path, toy_pipelined, toy_obligations):
@@ -654,6 +684,75 @@ def test_cache_gc_by_age_and_size(tmp_path):
     assert result["removed"] == 1
     assert result["kept"] == 3
     assert result["kept_bytes"] <= budget
+
+
+@pytest.fixture(scope="module")
+def toy_store(tmp_path_factory, toy_pipelined):
+    """A store filled by one toy discharge (discharge and absint records)
+    plus one family record."""
+    root = tmp_path_factory.mktemp("toy-store")
+    report = discharge_jobs(
+        toy_pipelined,
+        generate_obligations(toy_pipelined),
+        params=PARAMS,
+        jobs=1,
+        cache=ResultCache(root),
+    )
+    assert report.ok
+    assert FamilyCache(root).put_family("fa" * 32, RECORD, base_width=8, width=8)
+    return root
+
+
+@pytest.fixture()
+def store_root(toy_store, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(toy_store, root)
+    return root
+
+
+def _cache_cli(capsys, action: str, root) -> dict:
+    from repro.cli import main
+
+    assert main(["cache", action, "--cache-dir", str(root), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cache_cli_stats_lists_every_namespace(store_root, capsys):
+    payload = _cache_cli(capsys, "stats", store_root)
+    assert set(payload) == set(NAMESPACES)
+    assert all(payload[namespace]["records"] >= 1 for namespace in NAMESPACES)
+    assert payload["family"]["widths"] == {"8": 1}
+
+
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_cache_cli_verify_evicts_corruption_in_any_namespace(
+    store_root, capsys, namespace
+):
+    victim = _store(namespace, store_root)[0].entries()[0]
+    victim.write_text('{"version": 99, "torn')
+    payload = _cache_cli(capsys, "verify", store_root)
+    assert payload[namespace]["evicted"] == 1
+    assert sum(entry["evicted"] for entry in payload.values()) == 1
+    assert not victim.exists()
+
+
+@pytest.mark.parametrize("namespace", NAMESPACES)
+def test_cache_cli_gc_prunes_litter_in_any_namespace(
+    store_root, capsys, namespace
+):
+    litter = _store(namespace, store_root)[0].entries()[0].with_name(".dead.tmp")
+    litter.write_text("half-written")
+    payload = _cache_cli(capsys, "gc", store_root)
+    assert payload[namespace]["tmp_removed"] == 1
+    assert not litter.exists()
+
+
+def test_cache_cli_clear_empties_every_namespace(store_root, capsys):
+    payload = _cache_cli(capsys, "clear", store_root)
+    assert all(payload[namespace]["removed"] >= 1 for namespace in NAMESPACES)
+    stats = _cache_cli(capsys, "stats", store_root)
+    assert all(stats[namespace]["records"] == 0 for namespace in NAMESPACES)
+    assert not list(store_root.rglob("*.json"))
 
 
 # ---------------------------------------------------------------------------

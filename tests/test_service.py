@@ -9,6 +9,7 @@ kill/recover phase) lives in ``tests/test_service_chaos.py``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -30,6 +31,8 @@ from repro.service import (
 )
 from repro.service import journal as journal_mod
 from repro.service import protocol
+from repro.service.journal import JOURNAL_VERSION
+from repro.store import seal
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="service tests need forked workers"
@@ -156,20 +159,31 @@ def test_journal_skips_torn_and_corrupt_lines(tmp_path):
     journal.close()
     intact = path.read_bytes()
     # a torn tail (crash mid-append), a scribbled line, a version skew
-    sealed = journal_mod._sealed(
-        {"v": journal_mod.JOURNAL_VERSION + 1, "type": "done", "job": "job-a"}
-    )
+    skewed = seal({"type": "done", "job": "job-a"}, JOURNAL_VERSION + 1)
     path.write_bytes(
         intact
-        + b'{"v": 1, "type": "done", "job": "job-a"'  # torn, no newline fix
+        + b'{"version": 2, "type": "done", "job": "job-a"'  # torn
         + b"\n\x00\xffgarbage\n"
-        + sealed.encode()
+        + json.dumps(skewed).encode()
         + b"\n"
     )
     state = journal_mod.scan(path)
     assert state.skipped == 3
     assert not state.jobs["job-a"].done  # the forged 'done' did not land
     assert state.jobs["job-a"].verdicts["ob1"]["status"] == "proved"
+
+
+def test_journal_skips_version_1_lines(tmp_path):
+    """A journal written before lines were sealed by ``repro.store``
+    (``"v": 1`` plus a 16-hex ``"sum"``) is version skew: skipped, never
+    recovered as a job."""
+    body = {"v": 1, "t": 0.0, "type": "accepted", "job": "old", "tenant": "t"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body["sum"] = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    path = tmp_path / "j.ndjson"
+    path.write_text(json.dumps(body, sort_keys=True) + "\n")
+    state = journal_mod.scan(path)
+    assert state.lines == 1 and state.skipped == 1 and not state.jobs
 
 
 def test_journal_checksum_rejects_bit_flip(tmp_path):
@@ -216,6 +230,15 @@ def test_discharge_stream_matches_clean_run(tmp_path, toy_baseline):
         assert stats["solves"] == 1 and stats["replayed"] == 1
 
 
+def test_fresh_server_stats_report_cache_counters(tmp_path):
+    # an enabled but empty cache is still a cache: counters, not null
+    with ServerThread(_config(tmp_path)) as server:
+        stats = ServiceClient(*server.address).stats()
+    assert stats["cache"] == {
+        "hits": 0, "misses": 0, "stores": 0, "evictions": 0, "hit_rate": 0.0
+    }
+
+
 def test_http_surface(tmp_path):
     with ServerThread(_config(tmp_path)) as server:
         client = ServiceClient(*server.address)
@@ -234,6 +257,37 @@ def test_http_surface(tmp_path):
             protocol.canonical_machine_spec(TOY),
             protocol.resolve_params(EngineParams(max_retries=2), PARAMS)[0],
         )
+
+
+def test_response_ends_while_forked_workers_hold_the_socket(tmp_path, monkeypatch):
+    """A solve forks its workers while other connections are open, and
+    each fork inherits their sockets: a response must end when the
+    server is done with it, not when those workers exit."""
+    from repro.service.server import DischargeService
+
+    original = DischargeService.submit
+    children: list[int] = []
+
+    def submit_beside_a_fork(self, tenant, body):
+        pid = os.fork()
+        if pid == 0:  # a stand-in solver worker holding every open fd
+            time.sleep(30)
+            os._exit(0)
+        children.append(pid)
+        return original(self, tenant, body)
+
+    monkeypatch.setattr(DischargeService, "submit", submit_beside_a_fork)
+    try:
+        with ServerThread(_config(tmp_path)) as server:
+            started = time.monotonic()
+            status, _ = ServiceClient(*server.address).submit(TOY, params=PARAMS)
+            elapsed = time.monotonic() - started
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert status == 202
+    assert elapsed < 5.0
 
 
 # ---------------------------------------------------------------------------
