@@ -31,7 +31,10 @@ from .domain import ABSINT_VERSION
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .mine import MiningParams, MiningResult
 
-CACHE_VERSION = 1
+# 2: keys embed the Merkle module fingerprint (repro.proofs.fingerprint),
+# so every version-1 record is unreachable; the bump lets the store evict
+# them as version skew instead of leaving them on disk
+CACHE_VERSION = 2
 
 
 class InvariantCache(Store):

@@ -255,6 +255,13 @@ class BitBlaster:
     cone-of-influence slicing — sparse memories may only be read at constant
     addresses that are actually materialised (anything else is a slicing
     bug and raises :class:`BlastError`).
+
+    The memo maps each blasted node (keyed by the node itself, so it keeps
+    every key alive) to its vector and lives as long as the blaster:
+    repeated :meth:`blast` calls lower only the nodes no earlier call
+    reached.  Keying by ``id`` instead would let a node freed by
+    :func:`repro.hdl.expr.scoped_intern` hand its id, and so its stale
+    vector, to a new node.
     """
 
     def __init__(
@@ -275,14 +282,16 @@ class BitBlaster:
                 self._mem_sparse.add(name)
             else:
                 self.mem_words[name] = {a: list(w) for a, w in enumerate(words)}
-        self._memo: dict[int, Vec] = {}
+        self._memo: dict[E.Expr, Vec] = {}
 
     def blast(self, root: E.Expr) -> Vec:
         memo = self._memo
-        for node in E.walk([root]):
-            if id(node) not in memo:
-                memo[id(node)] = self._blast_node(node)
-        return memo[id(root)]
+        vec = memo.get(root)
+        if vec is None:
+            for node in E.walk_new([root], memo):
+                memo[node] = self._blast_node(node)
+            vec = memo[root]
+        return vec
 
     def blast_bit(self, root: E.Expr) -> int:
         if root.width != 1:
@@ -411,9 +420,9 @@ class BitBlaster:
         if isinstance(node, E.MemRead):
             if node.mem not in self.mem_words:
                 raise BlastError(f"unbound memory {node.mem!r}")
-            return self._mem_mux(node.mem, memo[id(node.addr)], node.width)
+            return self._mem_mux(node.mem, memo[node.addr], node.width)
         if isinstance(node, E.Unary):
-            a = memo[id(node.a)]
+            a = memo[node.a]
             if node.op == "NOT":
                 return [g.neg(x) for x in a]
             if node.op == "NEG":
@@ -432,8 +441,8 @@ class BitBlaster:
                 return [acc]
             raise AssertionError(node.op)
         if isinstance(node, E.Binary):
-            a = memo[id(node.a)]
-            b = memo[id(node.b)]
+            a = memo[node.a]
+            b = memo[node.b]
             op = node.op
             if op == "AND":
                 return [g.and_(x, y) for x, y in zip(a, b)]
@@ -465,17 +474,17 @@ class BitBlaster:
                 return self._shift(op, a, b)
             raise AssertionError(op)
         if isinstance(node, E.Mux):
-            sel = memo[id(node.sel)][0]
-            then = memo[id(node.then)]
-            els = memo[id(node.els)]
+            sel = memo[node.sel][0]
+            then = memo[node.then]
+            els = memo[node.els]
             return [g.mux_(sel, t, e) for t, e in zip(then, els)]
         if isinstance(node, E.Concat):
             out: Vec = []
             for part in reversed(node.parts):
-                out.extend(memo[id(part)])
+                out.extend(memo[part])
             return out
         if isinstance(node, E.Slice):
-            return memo[id(node.a)][node.low : node.high + 1]
+            return memo[node.a][node.low : node.high + 1]
         raise AssertionError(type(node).__name__)
 
 

@@ -92,6 +92,7 @@ class TransitionSystem:
         # even when the initial frame is otherwise unconstrained.
         self.constant_mems: set[str] = set()
         self._by_name = {var.name: var for var in state}
+        self._closure: DependencyClosure | None = None
 
     def var(self, name: str) -> StateVar:
         return self._by_name[name]
@@ -104,30 +105,14 @@ class TransitionSystem:
         address only pulls in that word, so properties over individual
         memory locations do not drag the whole memory into every frame.  A
         symbolic (non-constant) read still needs the full memory.
+
+        The first call closes the state variables' dependency graph
+        (:class:`DependencyClosure`); every call after that only reads
+        what ``roots`` read directly and unions their closures.
         """
-        needed: set[str] = set()
-        full_mems: set[str] = set()
-        frontier: list[E.Expr] = list(roots)
-        while frontier:
-            exprs = frontier
-            frontier = []
-            names: set[str] = set()
-            for node in E.walk(exprs):
-                if isinstance(node, E.RegRead):
-                    names.add(node.name)
-                elif isinstance(node, E.MemRead):
-                    if isinstance(node.addr, E.Const):
-                        names.add(f"{node.mem}[{node.addr.value}]")
-                    elif node.mem not in full_mems:
-                        full_mems.add(node.mem)
-                        addr_width, _dw = self.mem_shapes[node.mem]
-                        names.update(
-                            f"{node.mem}[{a}]" for a in range(1 << addr_width)
-                        )
-            for name in names - needed:
-                needed.add(name)
-                frontier.append(self._by_name[name].next)
-        return needed
+        if self._closure is None:
+            self._closure = DependencyClosure(self)
+        return self._closure.cone(roots)
 
     @classmethod
     def from_module(cls, module: Module) -> "TransitionSystem":
@@ -172,6 +157,157 @@ class TransitionSystem:
         system = cls(state, dict(module.inputs), mem_shapes)
         system.constant_mems = constant_mems
         return system
+
+
+class DependencyClosure:
+    """The transitive dependencies of every state variable, built once.
+
+    Graph nodes are the state variables plus one node per memory that
+    stands for *all* of its words: a symbolic read of memory ``M`` is one
+    edge to that node, which has an edge to each word.  Sets of graph
+    nodes are bitsets (Python ints) over their indices.
+
+    * One bottom-up pass over every next-state function gives each DAG
+      node the bitset of graph nodes it reads directly.  The memo keeps
+      growing with the roots later cones ask about, and a root's walk
+      stops at nodes it already holds.
+    * Tarjan's algorithm finds the strongly connected components in
+      reverse topological order, so each component's closure is its own
+      members plus the finished closures of its successors.
+
+    :meth:`cone` is then the union of the closures of what ``roots`` read
+    directly, restricted to state variables (each distinct cone's name set
+    is built once).
+    """
+
+    def __init__(self, system: TransitionSystem) -> None:
+        state = system.state
+        self._names = [var.name for var in state]
+        self._bit = {name: 1 << i for i, name in enumerate(self._names)}
+        n = len(state)
+        mems = list(system.mem_shapes)
+        self._mem_bit = {mem: 1 << (n + j) for j, mem in enumerate(mems)}
+        self._state_mask = (1 << n) - 1
+        self._reads: dict[E.Expr, int] = {}
+        self._cones: dict[int, frozenset[str]] = {}
+        succ = [self._direct([var.next]) for var in state]
+        for mem in mems:
+            addr_width, _dw = system.mem_shapes[mem]
+            words = 0
+            for addr in range(1 << addr_width):
+                words |= self._bit[f"{mem}[{addr}]"]
+            succ.append(words)
+        self._closure = _close(succ)
+
+    def _direct(self, roots: list[E.Expr]) -> int:
+        """Bitset of the graph nodes ``roots`` read without a step."""
+        reads = self._reads
+        bit = self._bit
+        for node in E.walk_new(roots, reads):
+            if isinstance(node, E.RegRead):
+                bits = bit[node.name]
+            elif isinstance(node, E.MemRead):
+                if isinstance(node.addr, E.Const):
+                    bits = bit[f"{node.mem}[{node.addr.value}]"]
+                else:
+                    bits = self._mem_bit[node.mem] | reads[node.addr]
+            else:
+                bits = 0
+                for child in node.children():
+                    more = reads[child]
+                    merged = bits | more
+                    if merged != bits:
+                        # share one int object among nodes with equal sets
+                        bits = more if merged == more else merged
+            reads[node] = bits
+        direct = 0
+        for root in roots:
+            direct |= reads[root]
+        return direct
+
+    def cone(self, roots: list[E.Expr]) -> set[str]:
+        closure = self._closure
+        needed = 0
+        for i in _indices(self._direct(list(roots))):
+            needed |= closure[i]
+        needed &= self._state_mask
+        names = self._cones.get(needed)
+        if names is None:
+            names = frozenset(self._names[i] for i in _indices(needed))
+            self._cones[needed] = names
+        return set(names)
+
+
+def _indices(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits``, ascending."""
+    text = bin(bits)[:1:-1]
+    out: list[int] = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
+def _close(succ: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a graph given as successor bitsets.
+
+    Iterative Tarjan: a strongly connected component is complete only once
+    every component it reaches is, so its closure is its members plus
+    those components' closures, each computed once.
+    """
+    edges = [_indices(bits) for bits in succ]
+    count = len(succ)
+    index = [-1] * count
+    low = [0] * count
+    on_stack = [False] * count
+    closure = [0] * count
+    stack: list[int] = []
+    counter = 0
+    for start in range(count):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        work = [(start, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(edges[v]):
+                work[-1] = (v, i + 1)
+                w = edges[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+            if low[v] != index[v]:
+                continue
+            members: list[int] = []
+            reach = 0
+            while True:
+                w = stack.pop()
+                on_stack[w] = False
+                members.append(w)
+                reach |= 1 << w
+                if w == v:
+                    break
+            for w in members:
+                for x in edges[w]:
+                    reach |= closure[x]  # 0 inside the component itself
+            for w in members:
+                closure[w] = reach
+    return closure
 
 
 @dataclass
@@ -246,6 +382,7 @@ class Unroller:
             if support is None or var.name in support
         ]
         self._tracked = {var.name for var in self.vars}
+        self._blasters: dict[int, BitBlaster] = {}
 
     def _split_state(self, vecs: Mapping[str, Vec], input_vecs: dict[str, Vec]) -> Frame:
         regs: dict[str, Vec] = {}
@@ -286,15 +423,21 @@ class Unroller:
             for name, width in self.system.inputs.items()
         }
 
-    def _blaster(self, frame: Frame) -> BitBlaster:
-        return BitBlaster(
-            self.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
-        )
+    def _blaster(self, index: int) -> BitBlaster:
+        """Frame ``index``'s one blaster: its memo spans every expression
+        blasted in the frame, the next-state functions included."""
+        blaster = self._blasters.get(index)
+        if blaster is None:
+            frame = self.frames[index]
+            blaster = BitBlaster(
+                self.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
+            )
+            self._blasters[index] = blaster
+        return blaster
 
     def add_step(self) -> Frame:
         """Compute frame t+1 from the last frame."""
-        current = self.frames[-1]
-        blaster = self._blaster(current)
+        blaster = self._blaster(len(self.frames) - 1)
         vecs = {var.name: blaster.blast(var.next) for var in self.vars}
         frame = self._split_state(vecs, self._fresh_inputs())
         self.frames.append(frame)
@@ -302,7 +445,7 @@ class Unroller:
 
     def blast_in_frame(self, index: int, expression: E.Expr) -> Vec:
         """Evaluate an expression over the state/inputs of frame ``index``."""
-        return self._blaster(self.frames[index]).blast(expression)
+        return self._blaster(index).blast(expression)
 
     def bit_in_frame(self, index: int, expression: E.Expr) -> int:
         if expression.width != 1:

@@ -110,7 +110,7 @@ def check_noninterference(
     # absint sharpening, mirrored: any reachably-constant interior node
     # is the same constant in both copies
     const_nodes = {
-        id(node): const_vec(node.width, fixpoint.eval(node).lo)
+        node: const_vec(node.width, fixpoint.eval(node).lo)
         for node in cone
         if not isinstance(node, (E.Const, E.RegRead, E.Input))
         and fixpoint.eval(node).is_const()
@@ -132,7 +132,7 @@ def check_noninterference(
     blaster_b = BitBlaster(aig, regs=regs_b, inputs=inputs, mem_words=mem_words)
     blaster_b._memo.update(const_nodes)
     for cut, vec in zip(declassifiers, cut_vecs):
-        blaster_b._memo[id(cut)] = vec
+        blaster_b._memo[cut] = vec
     vec_b = blaster_b.blast(sink)
 
     diff = aig.or_many([aig.xor_(x, y) for x, y in zip(vec_a, vec_b)])

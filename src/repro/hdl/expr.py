@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .bitvec import BitVector, from_signed, mask, to_signed
 
@@ -34,11 +34,16 @@ class Expr:
 
     Instances are interned: never construct node classes directly, use the
     constructor functions (:func:`const`, :func:`band`, ...) instead.
+
+    ``digest`` caches the node's content digest
+    (:func:`repro.proofs.fingerprint.node_digest`); it is ``None`` until
+    first asked for, then fixed for the node's lifetime.
     """
 
-    __slots__ = ("width",)
+    __slots__ = ("width", "digest")
 
     width: int
+    digest: bytes | None
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -216,6 +221,7 @@ def _make(cls: type, key: tuple, init: Callable[[Expr], None], width: int) -> Ex
     if node is None:
         node = object.__new__(cls)
         node.width = width
+        node.digest = None
         init(node)
         _INTERN[key] = node
     return node
@@ -633,23 +639,38 @@ def implies(a: Expr, b: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+_NOTHING: frozenset[Expr] = frozenset()
+
+
 def walk(roots: Iterable[Expr]) -> list[Expr]:
     """Return all nodes reachable from ``roots`` in a post-order (children
     before parents), each exactly once."""
-    seen: set[int] = set()
+    return walk_new(roots, _NOTHING)
+
+
+def walk_new(roots: Iterable[Expr], memo: Container[Expr]) -> list[Expr]:
+    """The post-order of :func:`walk`, minus every node ``memo`` holds.
+
+    The walk does not descend below a node in ``memo``: a caller that
+    memoizes a value per node (keyed by the node itself) already holds
+    the values of that node's whole cone, so evaluating the returned
+    nodes in order extends the memo to every root at the cost of the
+    nodes it lacked.  ``memo`` is only read.
+    """
+    seen: set[Expr] = set()
     order: list[Expr] = []
-    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots]
+    stack: list[tuple[Expr, bool]] = [(r, False) for r in roots if r not in memo]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for child in node.children():
-            if id(child) not in seen:
+            if child not in seen and child not in memo:
                 stack.append((child, False))
     return order
 

@@ -29,23 +29,23 @@ class Evaluator:
     """Evaluates expression DAGs against a module state.
 
     A fresh memo is used per cycle; within a cycle every node is computed at
-    most once, so evaluation is linear in DAG size.
+    most once, and each root's walk stops at the nodes an earlier root
+    already evaluated, so a cycle's evaluation is linear in DAG size.
     """
 
     def __init__(self, state: ModuleState, inputs: Mapping[str, int]) -> None:
         self._state = state
         self._inputs = inputs
-        self._memo: dict[int, int] = {}
+        self._memo: dict[E.Expr, int] = {}
 
     def eval(self, node: E.Expr) -> int:
         memo = self._memo
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        for sub in E.walk([node]):
-            if id(sub) not in memo:
-                memo[id(sub)] = self._eval_node(sub)
-        return memo[id(node)]
+        value = memo.get(node)
+        if value is None:
+            for sub in E.walk_new([node], memo):
+                memo[sub] = self._eval_node(sub)
+            value = memo[node]
+        return value
 
     def _eval_node(self, node: E.Expr) -> int:
         memo = self._memo
@@ -64,10 +64,10 @@ class Evaluator:
                 )
             return value
         if isinstance(node, E.MemRead):
-            addr = memo[id(node.addr)]
+            addr = memo[node.addr]
             return self._state.memories[node.mem].get(addr, 0)
         if isinstance(node, E.Unary):
-            a = memo[id(node.a)]
+            a = memo[node.a]
             w = node.a.width
             if node.op == "NOT":
                 return ~a & mask(w)
@@ -81,8 +81,8 @@ class Evaluator:
                 return bin(a).count("1") & 1
             raise AssertionError(f"unknown unary op {node.op}")
         if isinstance(node, E.Binary):
-            a = memo[id(node.a)]
-            b = memo[id(node.b)]
+            a = memo[node.a]
+            b = memo[node.b]
             w = node.a.width
             op = node.op
             if op == "AND":
@@ -118,14 +118,14 @@ class Evaluator:
                 return from_signed(to_signed(a, w) >> amt, w)
             raise AssertionError(f"unknown binary op {op}")
         if isinstance(node, E.Mux):
-            return memo[id(node.then)] if memo[id(node.sel)] else memo[id(node.els)]
+            return memo[node.then] if memo[node.sel] else memo[node.els]
         if isinstance(node, E.Concat):
             value = 0
             for part in node.parts:
-                value = (value << part.width) | memo[id(part)]
+                value = (value << part.width) | memo[part]
             return value
         if isinstance(node, E.Slice):
-            return (memo[id(node.a)] >> node.low) & mask(node.high - node.low + 1)
+            return (memo[node.a] >> node.low) & mask(node.high - node.low + 1)
         raise AssertionError(f"unknown node type {type(node).__name__}")
 
 

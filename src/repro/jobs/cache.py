@@ -36,7 +36,9 @@ __all__ = [
 
 # 2: record layout gained conflicts/frames profile fields (incremental engine)
 # 3: records carry a content checksum; unreadable records are evicted
-CACHE_VERSION = 3
+# 4: obligation fingerprints are Merkle digests (repro.proofs.fingerprint):
+# version-3 records are keyed by the old serialization and must miss
+CACHE_VERSION = 4
 
 _CACHEABLE = (Status.PROVED, Status.BOUNDED, Status.TRACE_OK)
 

@@ -54,7 +54,7 @@ import random
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
@@ -1056,17 +1056,13 @@ def discharge_jobs(
             cached = cache.get(fingerprint)
             if cached is not None:
                 report.cache_hits += 1
+                # content-identical obligations share a fingerprint; the
+                # verdict transfers but the identity must be this one's
+                # (``get`` decodes a fresh record, so it is ours to edit)
+                cached.oid = obligation.oid
+                cached.title = obligation.title
                 outcome_by_position[position] = emit(
-                    JobOutcome(
-                        # content-identical obligations share a fingerprint;
-                        # the verdict transfers but the identity must be
-                        # this one's
-                        record=replace(
-                            cached, oid=obligation.oid, title=obligation.title
-                        ),
-                        fingerprint=fingerprint,
-                        source="cache",
-                    )
+                    JobOutcome(record=cached, fingerprint=fingerprint, source="cache")
                 )
                 continue
             report.cache_misses += 1

@@ -167,7 +167,7 @@ def lint_semantic(
         arm = "else" if value.value & 1 else "then"
         context.emit(
             "absint-redundant-mux",
-            owner.get(id(node), f"module:{module.name}"),
+            owner.get(node, f"module:{module.name}"),
             f"mux select is constant {value.value & 1} over every reachable"
             f" state; the {arm!r} arm is dead and the mux is redundant",
             select=value.value & 1,

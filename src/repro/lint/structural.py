@@ -167,12 +167,15 @@ def named_roots(module: Module) -> list[tuple[str, E.Expr]]:
     return roots
 
 
-def _owner_map(roots: list[tuple[str, E.Expr]]) -> dict[int, str]:
-    """First-seen owner path for every reachable node (for attribution)."""
-    owner: dict[int, str] = {}
+def _owner_map(roots: list[tuple[str, E.Expr]]) -> dict[E.Expr, str]:
+    """First-seen owner path for every reachable node (for attribution).
+
+    A node that already has an owner got it with its whole cone, so each
+    root's walk stops there."""
+    owner: dict[E.Expr, str] = {}
     for path, root in roots:
-        for node in E.walk([root]):
-            owner.setdefault(id(node), path)
+        for node in E.walk_new([root], owner):
+            owner[node] = path
     return owner
 
 
@@ -258,7 +261,7 @@ def pass_cycles(ctx: ModuleContext) -> None:
     cycles = find_cycles([root for _path, root in roots])
     ctx.acyclic = not cycles
     for component in cycles:
-        path = owner.get(id(component[0]), "module:" + ctx.module.name)
+        path = owner.get(component[0], "module:" + ctx.module.name)
         ctx.emit(
             "comb-cycle",
             path,
@@ -374,7 +377,7 @@ def pass_dataflow(ctx: ModuleContext) -> None:
                 arm = "else" if v_sel & 1 else "then"
                 ctx.emit(
                     "unreachable-mux-arm",
-                    owner.get(id(node), f"module:{module.name}"),
+                    owner.get(node, f"module:{module.name}"),
                     f"mux select is constant {v_sel & 1} under dataflow"
                     f" analysis; the {arm!r} arm is unreachable",
                     select=v_sel & 1,
@@ -458,7 +461,7 @@ def pass_width_smells(ctx: ModuleContext) -> None:
         if not isinstance(node, E.Slice):
             continue
         child = node.a
-        path = owner.get(id(node), f"module:{ctx.module.name}")
+        path = owner.get(node, f"module:{ctx.module.name}")
         narrows = (
             isinstance(child, E.Binary) and child.op in _NARROWING_OPS
         ) or (isinstance(child, E.Unary) and child.op == "NEG")

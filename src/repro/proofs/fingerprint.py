@@ -4,7 +4,7 @@ The discharge cache (:mod:`repro.jobs`) must recognise an obligation it has
 already proved — across process boundaries and across runs — without trusting
 the obligation *id* (ids are stable names, but the hardware behind them
 changes whenever the machine or the transformation does).  A fingerprint is a
-SHA-256 over a canonical serialization of everything the verdict depends on:
+SHA-256 over everything the verdict depends on:
 
 * the expression DAG(s) of the obligation (property + assumptions, or the
   two sides of an equivalence),
@@ -20,16 +20,28 @@ verdict, so a cached result may be reused; anything outside the cone —
 renamed probes, unrelated datapath edits — leaves the fingerprint unchanged,
 which is what makes warm-cache runs useful during development.
 
-Expressions are hash-consed (identity-shared DAGs), so serialization assigns
-each distinct node an index in one post-order walk and references children by
-index; the encoding is linear in DAG size and independent of Python hash
-randomisation.
+Expressions are hash-consed (identity-shared DAGs) and hashed as a Merkle
+DAG: a node's digest (:func:`node_digest`) is the SHA-256 of its operator,
+width and leaf data (constant value, port, register or memory name, slice
+bounds) followed by its children's digests.  The digest is stored on the
+node, so every node is hashed once per process however many obligations
+share it; a fingerprint then hashes the version line, the digests of its
+roots, one ``(name, width, init, next-digest)`` row per support variable,
+the ROM lines and the parameters.  Every preimage is built from the node's
+content alone — never from ``hash()``, ``id()`` or anything that varies
+with ``PYTHONHASHSEED`` — so equal content gives equal fingerprints in
+every process.
+
+The line serializations (:func:`invariant_lines`, :func:`equivalence_lines`,
+:func:`trace_lines`, :func:`module_lines`) spell the same content out node
+by node, for the width-family analysis (:mod:`repro.analysis.family`),
+which diffs them across instances.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..formal.bmc import ENGINE_VERSION
 from ..formal.sat import SOLVER_VERSION
@@ -77,14 +89,59 @@ def _serialize_nodes(roots: Iterable[E.Expr]) -> tuple[list[str], dict[int, int]
     return lines, index
 
 
+def _tagged(tag: str) -> Callable[[E.Expr], bytes]:
+    return lambda node: f"{tag}{node.width}:{node.name}".encode()
+
+
+# the digest preimage of each node type: a type tag, the width and the
+# leaf data, then the children's digests (32 bytes each, so the tag
+# fixes where the text ends); ``node_digest`` appends the children
+_PREIMAGE: dict[type, Callable[[E.Expr], bytes]] = {
+    E.Const: lambda node: f"C{node.width}:{node.value}".encode(),
+    E.Input: _tagged("I"),
+    E.RegRead: _tagged("R"),
+    E.MemRead: lambda node: f"M{node.width}:{node.mem}@".encode(),
+    E.Unary: lambda node: f"U{node.width}:{node.op}".encode(),
+    E.Binary: lambda node: f"B{node.width}:{node.op}".encode(),
+    E.Mux: lambda node: f"X{node.width}".encode(),
+    E.Concat: lambda node: f"K{node.width}:{len(node.parts)}".encode(),
+    E.Slice: lambda node: f"S{node.low},{node.high}".encode(),
+}
+
+
+class _Digested:
+    """The nodes that already carry a digest, as a walk's memo."""
+
+    __slots__ = ()
+
+    def __contains__(self, node: E.Expr) -> bool:
+        return node.digest is not None
+
+
+_DIGESTED = _Digested()
+
+
+def node_digest(node: E.Expr) -> bytes:
+    """The node's Merkle digest (32 bytes), computed once per node."""
+    digest = node.digest
+    if digest is None:
+        sha256 = hashlib.sha256
+        for sub in E.walk_new([node], _DIGESTED):
+            preimage = _PREIMAGE[type(sub)](sub)
+            for child in sub.children():
+                preimage += child.digest  # type: ignore[operator]
+            sub.digest = sha256(preimage).digest()
+        digest = node.digest
+    return digest  # type: ignore[return-value]
+
+
+def _hex(node: E.Expr) -> str:
+    return node_digest(node).hex()
+
+
 def _digest(parts: Iterable[str]) -> str:
-    h = hashlib.sha256()
-    h.update(_VERSION_LINE.encode())
-    h.update(b"\n")
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    text = "\n".join([_VERSION_LINE, *parts, ""])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _params_lines(params: Mapping[str, object] | None) -> list[str]:
@@ -97,11 +154,15 @@ def fingerprint_exprs(
     roots: Iterable[E.Expr], params: Mapping[str, object] | None = None
 ) -> str:
     """Fingerprint a set of expressions (plus optional engine parameters)."""
-    roots = list(roots)
-    lines, index = _serialize_nodes(roots)
-    lines.append("roots:" + ",".join(str(index[id(r)]) for r in roots))
+    lines = ["roots:" + ",".join(_hex(r) for r in roots)]
     lines.extend(_params_lines(params))
     return _digest(lines)
+
+
+def _rom_lines(system: "TransitionSystem", support: Iterable[str]) -> list[str]:
+    # constant (ROM) memories are treated specially by the induction engine
+    mems_in_cone = {name.split("[")[0] for name in support if "[" in name}
+    return [f"rom:{mem}" for mem in sorted(mems_in_cone & system.constant_mems)]
 
 
 def invariant_lines(
@@ -110,13 +171,14 @@ def invariant_lines(
     assume: Iterable[E.Expr] = (),
     params: Mapping[str, object] | None = None,
 ) -> list[str]:
-    """The canonical serialization an invariant fingerprint digests.
+    """The content :func:`fingerprint_invariant` digests, spelled out
+    node by node.
 
     Public because the width-parametricity analysis
     (:mod:`repro.analysis.family`) diffs these lines across two family
-    instances to erase a width-generic template; the digest and the
-    template must agree on what "the obligation" is, so both read the
-    same serialization.
+    instances to erase a width-generic template; the fingerprint and the
+    template must agree on what "the obligation" is, so both cover the
+    same property, assumptions, support rows, ROMs and parameters.
     """
     assume = list(assume)
     support = sorted(system.cone_of_influence([prop, *assume]))
@@ -130,10 +192,7 @@ def invariant_lines(
         lines.append(
             f"state:{name}:{var.width}:{var.init}:{index[id(var.next)]}"
         )
-    # constant (ROM) memories are treated specially by the induction engine
-    mems_in_cone = {name.split("[")[0] for name in support if "[" in name}
-    for mem in sorted(mems_in_cone & system.constant_mems):
-        lines.append(f"rom:{mem}")
+    lines.extend(_rom_lines(system, support))
     lines.extend(_params_lines(params))
     return lines
 
@@ -145,14 +204,26 @@ def fingerprint_invariant(
     params: Mapping[str, object] | None = None,
 ) -> str:
     """Fingerprint an invariant obligation: property + assumptions + the
-    cone-of-influence slice of the transition system + engine parameters."""
-    return _digest(invariant_lines(system, prop, assume, params))
+    cone-of-influence slice of the transition system + engine parameters.
+
+    Hashes the content :func:`invariant_lines` spells out, with node
+    digests in place of the node lines."""
+    assume = list(assume)
+    support = sorted(system.cone_of_influence([prop, *assume]))
+    lines = [f"prop:{_hex(prop)}", "assume:" + ",".join(_hex(a) for a in assume)]
+    for name in support:
+        var = system.var(name)
+        lines.append(f"state:{name}:{var.width}:{var.init}:{_hex(var.next)}")
+    lines.extend(_rom_lines(system, support))
+    lines.extend(_params_lines(params))
+    return _digest(lines)
 
 
 def equivalence_lines(
     a: E.Expr, b: E.Expr, params: Mapping[str, object] | None = None
 ) -> list[str]:
-    """The canonical serialization an equivalence fingerprint digests."""
+    """The content :func:`fingerprint_equivalence` digests, spelled out
+    node by node."""
     lines, index = _serialize_nodes([a, b])
     lines.append(f"equiv:{index[id(a)]},{index[id(b)]}")
     lines.extend(_params_lines(params))
@@ -163,7 +234,9 @@ def fingerprint_equivalence(
     a: E.Expr, b: E.Expr, params: Mapping[str, object] | None = None
 ) -> str:
     """Fingerprint an equivalence obligation over two combinational DAGs."""
-    return _digest(equivalence_lines(a, b, params))
+    lines = [f"equiv:{_hex(a)},{_hex(b)}"]
+    lines.extend(_params_lines(params))
+    return _digest(lines)
 
 
 def trace_lines(
@@ -191,18 +264,15 @@ def fingerprint_trace(
     return _digest(lines)
 
 
-def module_lines(module: Module) -> list[str]:
-    """The canonical serialization a module fingerprint digests."""
-    roots = module.roots()
-    lines, index = _serialize_nodes(roots)
-    lines.append(f"module:{module.name}")
+def _element_lines(module: Module, ref: Callable[[E.Expr], str]) -> list[str]:
+    """One line per module element, naming its expressions by ``ref``."""
+    lines = [f"module:{module.name}"]
     for name in sorted(module.inputs):
         lines.append(f"input:{name}:{module.inputs[name]}")
     for name in sorted(module.registers):
         reg = module.registers[name]
         lines.append(
-            f"reg:{name}:{reg.width}:{reg.init}"
-            f":{index[id(reg.next)]}:{index[id(reg.enable)]}"
+            f"reg:{name}:{reg.width}:{reg.init}:{ref(reg.next)}:{ref(reg.enable)}"
         )
     for name in sorted(module.memories):
         memory = module.memories[name]
@@ -210,15 +280,22 @@ def module_lines(module: Module) -> list[str]:
         lines.append(f"mem:{name}:{memory.addr_width}:{memory.data_width}:{init}")
         for port in memory.write_ports:
             lines.append(
-                f"port:{name}:{index[id(port.enable)]}"
-                f":{index[id(port.addr)]}:{index[id(port.data)]}"
+                f"port:{name}:{ref(port.enable)}:{ref(port.addr)}:{ref(port.data)}"
             )
     for name in sorted(module.probes):
-        lines.append(f"probe:{name}:{index[id(module.probes[name])]}")
+        lines.append(f"probe:{name}:{ref(module.probes[name])}")
     return lines
+
+
+def module_lines(module: Module) -> list[str]:
+    """The canonical serialization of a module, node by node."""
+    lines, index = _serialize_nodes(module.roots())
+    return lines + _element_lines(module, lambda node: str(index[id(node)]))
 
 
 def fingerprint_module(module: Module) -> str:
     """Fingerprint a whole module (used for trace obligations, whose verdict
-    depends on the entire simulated netlist, not a property cone)."""
-    return _digest(module_lines(module))
+    depends on the entire simulated netlist, not a property cone): the
+    content of :func:`module_lines`, with node digests in place of the
+    node lines."""
+    return _digest(_element_lines(module, _hex))

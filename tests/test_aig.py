@@ -213,3 +213,54 @@ class TestCnf:
         aig = Aig()
         vec = [TRUE, FALSE, TRUE]  # 0b101
         assert vec_value(vec, {}, aig) == 0b101
+
+
+class TestFrameBlasterMemo:
+    """An unroller keeps one blaster per frame, so its memo outlives the
+    expressions it blasted; a node freed since must never hand its memo
+    entry to a new node."""
+
+    @staticmethod
+    def _unroller():
+        from repro.formal.bmc import TransitionSystem, Unroller
+        from repro.hdl.netlist import Module
+
+        module = Module("memo")
+        r = module.add_register("r", 8)
+        module.drive_register("r", E.add(r, module.add_input("step", 8)))
+        unroller = Unroller(TransitionSystem.from_module(module))
+        unroller.add_initial_frame(free=True)
+        unroller.add_step()
+        return unroller
+
+    def test_recycled_ids_never_return_stale_vectors(self):
+        import gc
+
+        unroller = self._unroller()
+        r = E.reg_read("r", 8)
+        with E.scoped_intern():
+            scratch = E.add(r, E.const(8, 0x5A))
+            unroller.blast_in_frame(1, scratch)
+            stale_id = id(scratch)
+        del scratch
+        gc.collect()
+        # churn same-type nodes until one lands on the freed id (an
+        # id-keyed memo that dropped its key would serve it the old vector)
+        fresh = None
+        for value in range(1, 256):
+            fresh = E.sub(r, E.const(8, value))
+            if id(fresh) == stale_id:
+                break
+        frame = unroller.frames[1]
+        reference = BitBlaster(
+            unroller.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
+        )
+        assert unroller.blast_in_frame(1, fresh) == reference.blast(fresh)
+
+    def test_frame_reuses_one_blaster(self):
+        unroller = self._unroller()
+        r = E.reg_read("r", 8)
+        first = unroller.blast_in_frame(1, E.add(r, E.const(8, 1)))
+        ands = len(unroller.aig.ands)
+        assert unroller.blast_in_frame(1, E.add(r, E.const(8, 1))) is first
+        assert len(unroller.aig.ands) == ands

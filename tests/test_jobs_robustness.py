@@ -398,7 +398,17 @@ def test_timeout_wins_over_hung_engine(
 ):
     """A per-obligation wall-clock timeout still wins over a shared engine
     that hangs without ever polling its interrupt — the worker is
-    terminated, not waited on, and only the hung members time out."""
+    terminated, not waited on, and only the hung members time out.
+
+    The budget must let every healthy member finish: twice the slowest
+    solved member of an unbudgeted run on the host at hand (lemma 1,
+    ~0.5 s on a 2-vCPU x86-64 host), and never below 1 s.  Not more:
+    the 16 members sharing a hung property each wait out the budget, so
+    the run's wall time grows by about ten times the budget."""
+    clean = discharge_jobs(toy_pipelined, toy_obligations, params=PARAMS, jobs=2)
+    slowest = max(
+        o.record.seconds for o in clean.outcomes if o.source == "group"
+    )
     invariants = toy_obligations.invariants()
     hung = {invariants[0].prop, invariants[-1].prop}
     original = SharedContext.k_induction
@@ -415,7 +425,7 @@ def test_timeout_wins_over_hung_engine(
         toy_obligations,
         params=PARAMS,
         jobs=2,
-        timeout=1.0,
+        timeout=max(1.0, 2 * slowest),
     )
     timed_out = {o.record.oid for o in report.outcomes if o.source == "timeout"}
     assert timed_out == {o.oid for o in invariants if o.prop in hung}

@@ -403,3 +403,21 @@ class TestGeneratedPipelines:
 
     def test_toy_full_lint_no_errors(self, toy_pipelined):
         assert not lint_pipeline(toy_pipelined).has_errors
+
+
+@pytest.mark.parametrize("core", ["toy", "dlx-small", "dlx-spec"])
+def test_owner_map_matches_full_walk_definition(core):
+    """The owner map's walks stop at owned nodes; the result must equal
+    the first-seen owner of every node under a full walk of each root."""
+    from repro.core import transform
+    from repro.faults.catalog import CORES
+    from repro.lint.structural import _owner_map, named_roots
+
+    module = transform(CORES[core].build_machine()).module
+    roots = named_roots(module)
+    expected: dict[int, str] = {}
+    for path, root in roots:
+        for node in E.walk([root]):
+            expected.setdefault(id(node), path)
+    owner = _owner_map(roots)
+    assert {id(node): path for node, path in owner.items()} == expected
