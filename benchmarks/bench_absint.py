@@ -10,30 +10,38 @@ Houdini loop proves it by *simultaneous* induction, and each per-instance
 obligation closes by plain 1-induction under the injected assumptions.
 
 Recorded to ``BENCH_absint.json``: mining time, invariants proven, and
-the cold-discharge comparison with/without injection (wall-clock, status
-counts, per-``tmpl.*`` methods).  The discharge runs use ``jobs=1`` —
-the serial engine's wall-clock is stable, where pool scheduling noise on
-a loaded runner swamps the few-percent effect being measured.
+a cold comparison over the invariant obligations of one transition
+system: the raw shared group against mining plus the group with the
+proven invariants injected (wall-clock, status counts, per-``tmpl.*``
+methods).  Mining time is charged to the "with" leg.  Both legs run in
+process — the serial wall-clock is stable, where pool scheduling noise
+on a loaded runner swamps the few-percent effect being measured.
 
 The full configuration asserts the headline claims: the ladder-only
-obligations flip to ``proved``, and enabling mining does not regress
-cold discharge wall-clock by more than 5% (here it is a net win: three
-``bmc(8)`` runs cost more than mining plus three 1-inductions).  The
-smoke configuration (``REPRO_BENCH_SMOKE=1``) shrinks the memories so
-the whole comparison runs in seconds; its baseline is then so small that
-fixed mining cost dominates, so the smoke run asserts only the status
-transition, not the wall-clock ratio.
+obligations flip to ``proved``, and mining does not regress the cold
+wall-clock by more than 5% (here it is a net win: three ``bmc(8)`` runs
+cost more than mining plus three 1-inductions).  The smoke configuration
+(``REPRO_BENCH_SMOKE=1``) shrinks the memories so the whole comparison
+runs in seconds; its baseline is then so small that fixed mining cost
+dominates, so the smoke run asserts only the status transition, not the
+wall-clock ratio.
 """
 
 import os
 import time
+from collections import Counter
 
 from _report import report_json
+from repro.absint import inject_invariants, mine_invariants
 from repro.core import transform
 from repro.dlx.programs import hazard_torture
 from repro.dlx.speculative import DlxSpecConfig, build_dlx_spec_machine
-from repro.jobs import EngineParams, discharge_jobs
-from repro.proofs import generate_obligations
+from repro.formal.bmc import TransitionSystem
+from repro.proofs import (
+    discharge_invariant_group,
+    generate_obligations,
+    resolve_properties,
+)
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 CONFIG = (
@@ -45,10 +53,14 @@ ROUNDS = 1 if SMOKE else 2  # interleaved; min-of-rounds is compared
 MAX_RATIO = 1.05
 
 
-def _tmpl_records(report) -> dict[str, dict[str, str]]:
+def _counts(records) -> dict[str, int]:
+    return dict(Counter(record.status.value for record in records))
+
+
+def _tmpl_records(records) -> dict[str, dict[str, str]]:
     return {
         r.oid: {"status": r.status.value, "method": r.method}
-        for r in report.records
+        for r in records
         if r.oid.startswith("tmpl.")
     }
 
@@ -58,24 +70,27 @@ def test_absint_injection():
     machine = build_dlx_spec_machine(workload.program, workload.data, CONFIG)
     pipelined = transform(machine)
     obligations = generate_obligations(pipelined)
+    resolve_properties(pipelined, obligations)
+    system = TransitionSystem.from_module(pipelined.module)
+    invariants = obligations.invariants()
+
+    def solve(group):
+        records = [record for _, record in discharge_invariant_group(system, group)]
+        assert all(r.ok for r in records), [r.oid for r in records if not r.ok]
+        return records
 
     walls: dict[bool, list[float]] = {False: [], True: []}
-    reports: dict[bool, object] = {}
     for _round in range(ROUNDS):
-        for absint in (False, True):
-            t0 = time.perf_counter()
-            report = discharge_jobs(
-                pipelined,
-                obligations,
-                params=EngineParams(absint=absint),
-                jobs=1,
-                cache=None,
-            )
-            walls[absint].append(time.perf_counter() - t0)
-            assert report.ok, [r.oid for r in report.records if not r.ok]
-            reports[absint] = report
+        t0 = time.perf_counter()
+        without = solve(invariants)
+        walls[False].append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        mining = mine_invariants(pipelined, system=system)
+        with_mining = solve(
+            inject_invariants(invariants, mining.proven, system)
+        )
+        walls[True].append(time.perf_counter() - t0)
 
-    without, with_mining = reports[False], reports[True]
     tmpl_without = _tmpl_records(without)
     tmpl_with = _tmpl_records(with_mining)
 
@@ -89,12 +104,10 @@ def test_absint_injection():
     # ... and are proved outright with the mined facts injected
     for oid in ladder_only:
         assert tmpl_with[oid]["status"] == "proved", (oid, tmpl_with[oid])
-    assert with_mining.counts().get("unknown", 0) <= without.counts().get(
+    assert _counts(with_mining).get("unknown", 0) <= _counts(without).get(
         "unknown", 0
     )
-
-    mining = with_mining.absint
-    assert mining is not None and mining["proven"] >= 1
+    assert len(mining.proven) >= 1
 
     ratio = min(walls[True]) / min(walls[False])
     if not SMOKE:
@@ -113,22 +126,22 @@ def test_absint_injection():
                 "dmem_addr_width": CONFIG.dmem_addr_width,
             },
             "obligations": len(obligations),
-            "jobs": 1,
+            "invariants": len(invariants),
             "rounds": ROUNDS,
             "mining": {
-                "seconds": mining["seconds"],
-                "candidates": mining["candidates"],
-                "proven": mining["proven"],
-                "invariants": mining["invariants"],
+                "seconds": round(mining.seconds, 4),
+                "candidates": mining.candidates,
+                "proven": len(mining.proven),
+                "invariants": [inv.name for inv in mining.proven],
             },
             "without_mining": {
                 "wall_seconds": [round(w, 3) for w in walls[False]],
-                "counts": without.counts(),
+                "counts": _counts(without),
                 "templates": tmpl_without,
             },
             "with_mining": {
                 "wall_seconds": [round(w, 3) for w in walls[True]],
-                "counts": with_mining.counts(),
+                "counts": _counts(with_mining),
                 "templates": tmpl_with,
             },
             "ladder_only_without": ladder_only,

@@ -11,11 +11,12 @@ Two measurements, recorded to ``BENCH_bmc_incremental.json``:
    must not be slower than from-scratch.
 
 2. **DLX cold discharge** — the full obligation set of the small pipelined
-   DLX through the sequential ``discharge()``, and its speedup against the
-   frozen first-release baseline (8.48s sequential, measured before the
-   engines went incremental and the solver's decision heap landed).
-   ``discharge()`` has one engine, the shared incremental checker; the
-   from-scratch comparison lives in the prove escalation above.
+   DLX through the discharge engine (``discharge_jobs``, one worker, no
+   cache), and its speedup against the frozen first-release baseline
+   (8.48s sequential, measured before the engines went incremental and
+   the solver's decision heap landed).  The engine decides every
+   invariant with the shared incremental checker; the from-scratch
+   comparison lives in the prove escalation above.
 """
 
 import os
@@ -27,7 +28,8 @@ from _report import report_json
 from repro.formal.bmc import prove
 from repro.hdl import expr as E
 from repro.hdl.netlist import Module
-from repro.proofs import discharge, generate_obligations
+from repro.jobs import EngineParams, discharge_jobs
+from repro.proofs import generate_obligations
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SHIFT_LENGTH = 10 if SMOKE else 20
@@ -93,7 +95,13 @@ def test_dlx_cold_discharge(small_dlx):
 
     obligations = generate_obligations(pipelined)
     t0 = time.perf_counter()
-    report = discharge(pipelined, obligations, trace_cycles=100, conjoin=False)
+    report = discharge_jobs(
+        pipelined,
+        obligations,
+        params=EngineParams(trace_cycles=100),
+        jobs=1,
+        cache=None,
+    )
     seconds = time.perf_counter() - t0
     assert report.ok
 

@@ -1,13 +1,11 @@
 """E8 — the discharge engine (repro.jobs): caching, parallelism, timeouts.
 
-Three measurements over the full obligation set of the small pipelined DLX:
+Measurements over the full obligation set of the small pipelined DLX:
 
-1. **sequential baseline** — the classic per-obligation ``discharge()``
-   driver (``conjoin=False``, the honest one-at-a-time cost);
-2. **engine, cold cache** — ``discharge_jobs`` with an empty cache and the
+1. **cold cache** — ``discharge_jobs`` with an empty cache and the
    machine's CPU count, then **warm cache** — the same call again, which
    must hit the cache for (almost) every obligation;
-3. **timeout degradation** — a per-obligation budget chosen to cut off
+2. **timeout degradation** — a per-obligation budget chosen to cut off
    the one expensive obligation (``lemma1.full_iff_diff``, several times
    slower than the rest): it must end ``unknown`` while every other
    obligation still completes.  The engine is then shown fitting the
@@ -15,10 +13,9 @@ Three measurements over the full obligation set of the small pipelined DLX:
    timed it out) — nothing times out at all.
 
 Everything is recorded to ``BENCH_discharge.json`` for the measurement
-trajectory.  Note the parallel numbers are only meaningful relative to
-the recorded ``cpu_count`` — on a single-CPU runner the pool cannot beat
-the sequential baseline on wall-clock; the cache and timeout behaviour
-are CPU-independent.
+trajectory.  Note the cold wall-clock is only meaningful relative to the
+recorded ``cpu_count``; the cache and timeout behaviour are
+CPU-independent.
 """
 
 import tempfile
@@ -26,7 +23,7 @@ import time
 
 from _report import report_json
 from repro.jobs import EngineParams, ResultCache, default_jobs, discharge_jobs
-from repro.proofs import Status, discharge, generate_obligations
+from repro.proofs import Status, generate_obligations
 
 PARAMS = EngineParams(max_k=2, bmc_bound=8, trace_cycles=100)
 # between lemma1's cost (~1s) and every other SAT obligation's (<= ~0.2s)
@@ -41,23 +38,10 @@ def test_discharge_engine(benchmark, small_dlx):
     obligations = generate_obligations(pipelined)
     cpus = default_jobs()
 
-    # 1 -- sequential baseline: one obligation at a time, no cache
-    t0 = time.perf_counter()
-    seq_report = discharge(
-        pipelined,
-        obligations,
-        max_k=PARAMS.max_k,
-        bmc_bound=PARAMS.bmc_bound,
-        trace_cycles=PARAMS.trace_cycles,
-        conjoin=False,
-    )
-    seq_seconds = time.perf_counter() - t0
-    assert seq_report.ok, [r.oid for r in seq_report.records if not r.ok]
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
 
-        # 2 -- engine: cold cache, then warm cache (benchmarked)
+        # 1 -- cold cache, then warm cache (benchmarked)
         t0 = time.perf_counter()
         cold = discharge_jobs(
             pipelined, obligations, params=PARAMS, jobs=cpus, cache=cache
@@ -80,7 +64,7 @@ def test_discharge_engine(benchmark, small_dlx):
             r.status for r in cold.records
         ]
 
-        # 3 -- timeout degradation on a fresh cache
+        # 2 -- timeout degradation on a fresh cache
         cache.clear()
         timed = discharge_jobs(
             pipelined,
@@ -97,7 +81,7 @@ def test_discharge_engine(benchmark, small_dlx):
         others = [o.record for o in timed.outcomes if o.source != "timeout"]
         assert all(record.ok for record in others)
 
-        # 4 -- the engine fits the old lemma 1 budget: nothing times out
+        # 3 -- the engine fits the old lemma 1 budget: nothing times out
         cache.clear()
         budgeted = discharge_jobs(
             pipelined,
@@ -116,10 +100,6 @@ def test_discharge_engine(benchmark, small_dlx):
             "machine": obligations.machine_name,
             "obligations": len(obligations),
             "cpu_count": cpus,
-            "sequential": {
-                "seconds": round(seq_seconds, 3),
-                "counts": seq_report.counts(),
-            },
             "engine_cold": {
                 "seconds": round(cold_seconds, 3),
                 "counts": cold.counts(),
@@ -130,7 +110,6 @@ def test_discharge_engine(benchmark, small_dlx):
                 "seconds": round(warm_seconds, 3),
                 "counts": warm.counts(),
                 "cache_hit_rate": round(warm.hit_rate, 4),
-                "speedup_vs_sequential": round(seq_seconds / warm_seconds, 1),
                 "speedup_vs_cold": round(cold_seconds / warm_seconds, 1),
             },
             "timeout_demo": {

@@ -9,8 +9,9 @@ checking against the sequential reference for the rest.
 """
 
 from _report import report
+from repro.jobs import EngineParams, discharge_jobs
 from repro.perf import format_table
-from repro.proofs import Status, discharge, generate_obligations
+from repro.proofs import Status, generate_obligations
 
 
 def test_proof_obligations(benchmark, small_dlx):
@@ -18,13 +19,17 @@ def test_proof_obligations(benchmark, small_dlx):
     obligations = generate_obligations(pipelined)
 
     report_obj = benchmark.pedantic(
-        discharge,
+        discharge_jobs,
         args=(pipelined, obligations),
-        kwargs={"trace_cycles": 100, "max_k": 1, "bmc_bound": 4},
+        kwargs={
+            "params": EngineParams(trace_cycles=100, max_k=1, bmc_bound=4),
+            "jobs": 1,
+            "cache": None,
+        },
         rounds=1,
         iterations=1,
     )
-    assert report_obj.ok, [r.oid for r in report_obj.failed()]
+    assert report_obj.ok, [r.oid for r in report_obj.failed]
 
     by_family: dict[str, dict] = {}
     for record in report_obj.records:

@@ -11,8 +11,9 @@ Run:  python examples/build_your_own.py
 from repro.core import check_data_consistency, transform
 from repro.hdl import Simulator
 from repro.hdl import expr as E
+from repro.jobs import EngineParams, discharge_jobs
 from repro.machine.prepared import PreparedMachine
-from repro.proofs import discharge, generate_obligations
+from repro.proofs import generate_obligations
 
 
 def build_mac_machine(rf_init: dict[int, int] | None = None) -> PreparedMachine:
@@ -108,8 +109,14 @@ def main() -> None:
 
     report = check_data_consistency(machine, pipelined.module, cycles=12)
     print(f"\n  data consistency vs sequential: {'OK' if report.ok else 'FAIL'}")
-    proofs = discharge(pipelined, generate_obligations(pipelined), trace_cycles=50)
-    print(f"  {proofs.summary()}")
+    proofs = discharge_jobs(
+        pipelined,
+        generate_obligations(pipelined),
+        params=EngineParams(trace_cycles=50),
+        jobs=1,
+        cache=None,
+    )
+    print(f"  {proofs.format_text()}")
     assert report.ok and proofs.ok
     print("\nYour machine is pipelined and provably consistent.")
 

@@ -17,9 +17,10 @@ from repro.core import (
     transform,
 )
 from repro.hdl.sim import Simulator
+from repro.jobs import EngineParams, discharge_jobs
 from repro.machine import build_sequential, toy
 from repro.perf import format_table
-from repro.proofs import discharge, generate_obligations
+from repro.proofs import generate_obligations
 
 
 def main() -> None:
@@ -80,8 +81,14 @@ def main() -> None:
 
     # 6. Discharge the generated proof obligations mechanically.
     obligations = generate_obligations(pipelined)
-    report = discharge(pipelined, obligations, trace_cycles=60)
-    print(f"\nproof obligations: {report.summary()}")
+    report = discharge_jobs(
+        pipelined,
+        obligations,
+        params=EngineParams(trace_cycles=60),
+        jobs=1,
+        cache=None,
+    )
+    print(f"\nproof obligations:\n{report.format_text()}")
     rows = [
         {
             "obligation": record.oid,

@@ -16,9 +16,10 @@ Run:  python examples/verify_pipeline.py
 """
 
 from repro.core import transform
+from repro.jobs import EngineParams, discharge_jobs
 from repro.machine import toy
 from repro.perf import format_table
-from repro.proofs import discharge, generate_obligations
+from repro.proofs import generate_obligations
 
 
 def build():
@@ -39,7 +40,13 @@ def main() -> None:
           f" ({len(obligations.invariants())} invariants,"
           f" {len(obligations.trace_checks())} trace checks)\n")
 
-    report = discharge(pipelined, obligations, trace_cycles=80, conjoin=False)
+    report = discharge_jobs(
+        pipelined,
+        obligations,
+        params=EngineParams(trace_cycles=80),
+        jobs=1,
+        cache=None,
+    )
     rows = [
         {
             "obligation": record.oid,
@@ -50,7 +57,7 @@ def main() -> None:
         for record in report.records
     ]
     print(format_table(rows))
-    print(f"\n=> {report.summary()}")
+    print(f"\n=> {report.format_text()}")
     assert report.ok
 
     # Negative control: break the stall engine and watch the proofs fail.
@@ -58,10 +65,14 @@ def main() -> None:
     machine, broken = build()
     broken.module.drive_register("fullb.1", broken.engine.ue[0])
     broken_obligations = generate_obligations(broken)
-    broken_report = discharge(
-        broken, broken_obligations, trace_cycles=60, max_k=1, bmc_bound=4
+    broken_report = discharge_jobs(
+        broken,
+        broken_obligations,
+        params=EngineParams(trace_cycles=60, max_k=1, bmc_bound=4),
+        jobs=1,
+        cache=None,
     )
-    failing = broken_report.failed()
+    failing = broken_report.failed
     print(f"{len(failing)} obligations fail on the broken design:")
     for record in failing[:5]:
         print(f"  {record.status.value:8s} {record.oid}")

@@ -710,7 +710,6 @@ def _engine_signals(pipelined: PipelinedMachine) -> list[list[E.Expr]]:
 def analyze_family(
     spec: FamilySpec,
     params: "EngineParams | None" = None,
-    absint: bool = True,
 ) -> FamilyAnalysis:
     """Run the differential width-parametricity analysis over one family.
 
@@ -737,7 +736,7 @@ def analyze_family(
     system0 = TransitionSystem.from_module(pipelined0.module)
     system1 = TransitionSystem.from_module(pipelined1.module)
     system2 = TransitionSystem.from_module(pipelined2.module)
-    sharpen = _Sharpener(pipelined0, pipelined1) if absint else None
+    sharpen = _Sharpener(pipelined0, pipelined1)
     declassify0 = _declassified(pipelined0)
     declassify1 = _declassified(pipelined1)
     by_oid1 = {obligation.oid: obligation for obligation in obligations1}
@@ -795,8 +794,7 @@ def analyze_family(
                 )
             ]
             try:
-                if sharpen is not None:
-                    sharpen.prime(roots0, roots1)
+                sharpen.prime(roots0, roots1)
                 module_typing = infer_types(
                     roots0,
                     roots1,
@@ -845,8 +843,7 @@ def analyze_family(
                 )
                 walk0 = roots0 + [system0.var(n).next for n in support]
                 walk1 = roots1 + [system1.var(n).next for n in support]
-                if sharpen is not None:
-                    sharpen.prime(walk0, walk1)
+                sharpen.prime(walk0, walk1)
                 typing = infer_types(
                     walk0,
                     walk1,
@@ -861,8 +858,7 @@ def analyze_family(
                 assert obligation.equiv is not None and other.equiv is not None
                 roots0 = list(obligation.equiv)
                 roots1 = list(other.equiv)
-                if sharpen is not None:
-                    sharpen.prime(roots0, roots1)
+                sharpen.prime(roots0, roots1)
                 typing = infer_types(
                     roots0,
                     roots1,
@@ -1039,7 +1035,6 @@ def family_context(
     width: int | None = None,
     cache: "FamilyCache | None" = None,
     params: "EngineParams | None" = None,
-    absint: bool = True,
 ) -> FamilyContext | None:
     """Memoised analysis + context for one core, or None for non-family
     cores.  The analysis is pure in (core, params), so repeated discharges
@@ -1054,11 +1049,11 @@ def family_context(
     key = (
         core,
         f"{sorted(params.invariant_params().items())!r}"
-        f":{params.trace_cycles}:{params.liveness_bound}:{absint}",
+        f":{params.trace_cycles}:{params.liveness_bound}",
     )
     analysis = _ANALYSES.get(key)
     if analysis is None:
-        analysis = analyze_family(spec, params, absint=absint)
+        analysis = analyze_family(spec, params)
         _ANALYSES[key] = analysis
     return FamilyContext(analysis, width or spec.base_width, cache)
 

@@ -5,7 +5,7 @@ Usage examples::
     python -m repro.cli run program.s                 # pipelined execution
     python -m repro.cli run program.s --machine seq   # sequential reference
     python -m repro.cli run program.s --vcd out.vcd   # dump waveforms
-    python -m repro.cli verify program.s              # obligations + traces
+    python -m repro.cli verify program.s              # discharge, no cache
     python -m repro.cli discharge program.s -j 4      # parallel cached proofs
     python -m repro.cli lint --core all               # static analysis
     python -m repro.cli lint program.s --format sarif # lint one program
@@ -22,12 +22,12 @@ import argparse
 import math
 import sys
 
-from .core import TransformOptions, check_data_consistency, transform
+from .core import TransformOptions, transform
 from .dlx import DlxConfig, DlxReference, assemble, build_dlx_machine, labels_of
 from .hdl.sim import Simulator
 from .machine import build_sequential
 from .perf import cost_versus_depth, format_table, run_to_completion
-from .proofs import discharge, generate_obligations
+from .proofs import generate_obligations
 
 
 def _load(path: str):
@@ -137,24 +137,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """``repro discharge`` in process, without a cache: data consistency
+    against the sequential reference is one of the obligations."""
+    from .jobs import EngineParams, discharge_jobs
+
     _source, program, _labels = _load(args.program)
     machine = build_dlx_machine(program, config=_config_for(program, args.dmem_bits))
     pipelined = transform(machine)
-    print("checking data consistency against the sequential reference ...")
-    consistency = check_data_consistency(
-        machine, pipelined.module, cycles=args.cycles
+    report = discharge_jobs(
+        pipelined,
+        generate_obligations(pipelined),
+        params=EngineParams(trace_cycles=args.cycles),
+        jobs=1,
+        cache=None,
     )
-    print(f"  {'OK' if consistency.ok else 'FAIL'}"
-          f" ({consistency.instructions_retired} instructions retired)")
-    if not consistency.ok:
-        print("  first violation:", consistency.first_violation())
-        return 1
-    print("discharging generated proof obligations ...")
-    obligations = generate_obligations(pipelined)
-    report = discharge(pipelined, obligations, trace_cycles=args.cycles)
-    print(f"  {report.summary()}")
-    for record in report.failed():
-        print(f"  FAILED {record.oid}: {record.detail[:120]}")
+    print(report.format_text())
+    print("OK" if report.ok else "FAIL")
+    # unlike discharge, an unknown verdict fails verification
     return 0 if report.ok else 1
 
 
@@ -176,7 +175,6 @@ def cmd_discharge(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             mem_limit_mb=args.mem_limit,
             cpu_limit_s=args.cpu_limit,
-            absint=not args.no_absint,
         ),
         jobs=args.jobs,
         timeout=args.timeout,
@@ -808,11 +806,6 @@ def main(argv: list[str] | None = None) -> int:
     discharge_parser.add_argument(
         "--cpu-limit", type=int, default=None, metavar="SECONDS",
         help="rlimit CPU-time cap per solver worker, in seconds",
-    )
-    discharge_parser.add_argument(
-        "--no-absint", action="store_true",
-        help="skip abstract-interpretation invariant mining (obligations"
-        " are discharged without mined strengthening assumptions)",
     )
     discharge_parser.set_defaults(func=cmd_discharge)
 

@@ -1,11 +1,12 @@
 """Parallel, cached discharge of generated proof obligations.
 
-The classic sequential driver lives in :mod:`repro.proofs.discharge`; this
-package adds the orchestration layer on top of the same pure per-obligation
-functions: content-addressed result caching (:mod:`repro.jobs.cache`,
-namespaces of the shared record store :mod:`repro.store`), a
-forked worker pool with per-obligation timeouts, and structured reporting
-(:mod:`repro.jobs.engine`).
+:func:`discharge_jobs` is the one front door that discharges an
+obligation set: the CLI, the service, the examples and the benchmarks all
+call it.  It orchestrates the pure per-obligation functions of
+:mod:`repro.proofs.discharge`: content-addressed result caching
+(:mod:`repro.jobs.cache`, namespaces of the shared record store
+:mod:`repro.store`), a forked worker pool with per-obligation timeouts,
+and structured reporting (:mod:`repro.jobs.engine`).
 """
 
 from .cache import CACHE_VERSION, DEFAULT_CACHE_DIR, CacheStats, ResultCache

@@ -65,7 +65,6 @@ from ..formal.bmc import TransitionSystem
 from ..hdl import expr as E
 from ..proofs.discharge import (
     DischargeRecord,
-    DischargeReport,
     InputProvider,
     Status,
     build_trace,
@@ -86,7 +85,10 @@ class EngineParams:
     fingerprint (see :meth:`invariant_params`).  The robustness knobs —
     ``max_retries`` and the worker resource limits — only affect whether a
     verdict is reached at all, so they stay out of the fingerprint and a
-    rerun with different limits still hits the cache.
+    rerun with different limits still hits the cache.  Invariant mining
+    (:mod:`repro.absint`) is not a knob: it runs whenever an obligation
+    is headed to a solver, and the assumptions it injects are hashed
+    with the obligation.
     """
 
     max_k: int = 2
@@ -94,20 +96,13 @@ class EngineParams:
     trace_cycles: int = 200
     liveness_bound: int | None = None
     max_conflicts: int | None = None
-    # abstract-interpretation invariant mining (repro.absint): mine and
-    # SAT-prove reachability invariants, then inject them as assumptions
-    # into the induction obligations.  Deliberately *not* part of
-    # ``invariant_params``: injection changes an obligation's ``assume``
-    # set, which is already hashed into its fingerprint — the flag itself
-    # adds no information.
-    absint: bool = True
     # width-family proof reuse (repro.analysis.family): serve obligations
     # whose family certificate covers this width from the family cache,
     # and seed freshly proved certified obligations into it.  Only active
     # when the caller also passes a FamilyContext to discharge_jobs.
     # Verdict-preserving: every serve re-validates the width-erased
-    # template against the obligation's actual serialization, so — like
-    # ``absint`` — the flag stays out of ``invariant_params``.
+    # template against the obligation's actual serialization, so the
+    # flag stays out of ``invariant_params``.
     family: bool = True
     # crash quarantine: how often a crashed (signalled / vanished) worker
     # is retried, with exponential backoff, before the obligation is
@@ -178,7 +173,7 @@ class JobReport:
     wall_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    uncacheable: int = 0
+    uncacheable: int = 0  # trace obligations under a custom stimulus
     crashes: int = 0  # abnormal worker terminations observed (pre-retry)
     retries: int = 0  # crashed launches that were retried
     worker_seconds: dict[int, float] = field(default_factory=dict)
@@ -229,12 +224,6 @@ class JobReport:
             return 0.0
         busy = sum(self.worker_seconds.values())
         return min(1.0, busy / (self.jobs * self.wall_seconds))
-
-    def as_discharge_report(self) -> DischargeReport:
-        """The classic sequential-report view of this run."""
-        return DischargeReport(
-            machine_name=self.machine_name, records=list(self.records)
-        )
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -308,8 +297,9 @@ class JobReport:
             lines.append(f"  FAILED  {record.oid}: {record.detail[:100]}")
         for record in self.unknown:
             lines.append(f"  UNKNOWN {record.oid} ({record.method})")
+        # a served verdict carries the seconds of the solve that stored it
         slowest = sorted(
-            (o for o in self.outcomes if o.source != "cache"),
+            (o for o in self.outcomes if o.source not in ("cache", "family")),
             key=lambda o: (-round(o.record.seconds, 3), o.record.oid),
         )[:3]
         for outcome in slowest:
@@ -1005,7 +995,7 @@ def discharge_jobs(
     # obligations headed to the solver: when the family serve pass settled
     # every one, there is nothing to inject into and the fixpoint plus its
     # SAT verification would be the dominant cost of a fully-served run.
-    if params.absint and len(outcome_by_position) < len(ordered):
+    if len(outcome_by_position) < len(ordered):
         from ..absint import InvariantCache, inject_invariants, mine_invariants
 
         invariant_cache = (
@@ -1032,13 +1022,13 @@ def discharge_jobs(
             continue  # already served from the family cache
         if obligation.kind is ObligationKind.TRACE:
             fingerprint = None
-            if cache is not None and not custom_stimulus:
+            if custom_stimulus:
+                report.uncacheable += 1
+            elif cache is not None:
                 fingerprint = obligation.fingerprint(
                     module=pipelined.module,
                     params=params.trace_params(obligation.checker or "", n),
                 )
-            else:
-                report.uncacheable += 1
         elif cache is not None:
             fingerprint = obligation.fingerprint(
                 system=system,

@@ -2,10 +2,8 @@
 
 from .discharge import (
     DischargeRecord,
-    DischargeReport,
     Status,
     build_trace,
-    discharge,
     discharge_equivalence,
     discharge_invariant,
     discharge_invariant_group,
@@ -29,14 +27,12 @@ from .obligations import (
 
 __all__ = [
     "DischargeRecord",
-    "DischargeReport",
     "Obligation",
     "ObligationKind",
     "ObligationSet",
     "Status",
     "build_trace",
     "counter_name",
-    "discharge",
     "discharge_equivalence",
     "discharge_invariant",
     "discharge_invariant_group",

@@ -10,17 +10,18 @@ paper's PVS proofs vs. simulations occupy.
 
 The work is exposed as pure functions (:func:`discharge_invariant_group`,
 :func:`discharge_equivalence`, :func:`discharge_trace`): they depend only
-on their arguments, so the parallel orchestrator in :mod:`repro.jobs` can
-run them in worker processes.  Every invariant is decided by one engine,
-the shared incremental checker of :mod:`repro.formal.shared`;
-:func:`discharge_invariant` is its one-member case.  :func:`discharge`
-runs the same functions sequentially in process.
+on their arguments, so the orchestrator in :mod:`repro.jobs` can run them
+in worker processes.  Every invariant is decided by one engine, the
+shared incremental checker of :mod:`repro.formal.shared`;
+:func:`discharge_invariant` is its one-member case.  The one front door
+that discharges a whole obligation set is
+:func:`repro.jobs.discharge_jobs`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -32,7 +33,7 @@ from ..core.consistency import (
 from ..core.scheduling import check_lemma1
 from ..formal.equiv import check_equivalence
 from ..core.transform import PipelinedMachine
-from ..formal.bmc import TransitionSystem, k_induction
+from ..formal.bmc import TransitionSystem
 from ..hdl.sim import Simulator, Trace
 from .instrument import instrument_scheduling
 from .obligations import Obligation, ObligationKind, ObligationSet
@@ -71,33 +72,6 @@ class DischargeRecord:
         return self.status in (Status.PROVED, Status.BOUNDED, Status.TRACE_OK)
 
 
-@dataclass
-class DischargeReport:
-    """All discharge outcomes for one machine."""
-
-    machine_name: str
-    records: list[DischargeRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(record.ok for record in self.records)
-
-    def counts(self) -> dict[str, int]:
-        result: dict[str, int] = {}
-        for record in self.records:
-            result[record.status.value] = result.get(record.status.value, 0) + 1
-        return result
-
-    def failed(self) -> list[DischargeRecord]:
-        return [record for record in self.records if not record.ok]
-
-    def summary(self) -> str:
-        counts = ", ".join(f"{k}: {v}" for k, v in sorted(self.counts().items()))
-        return (
-            f"{self.machine_name}: {len(self.records)} obligations ({counts})"
-        )
-
-
 def resolve_properties(
     pipelined: PipelinedMachine, obligations: ObligationSet
 ) -> None:
@@ -122,94 +96,6 @@ def build_trace(
         stimulus = inputs(sim.cycle) if inputs is not None else {}
         sim.step(stimulus)
     return sim.trace
-
-
-def discharge(
-    pipelined: PipelinedMachine,
-    obligations: ObligationSet,
-    max_k: int = 2,
-    bmc_bound: int = 8,
-    trace_cycles: int = 200,
-    liveness_bound: int | None = None,
-    inputs: InputProvider | None = None,
-    seq_inputs: InputProvider | None = None,
-    conjoin: bool = True,
-    max_conflicts: int | None = None,
-) -> DischargeReport:
-    """Discharge every obligation; see module docstring for the strategy.
-
-    ``inputs``/``seq_inputs`` provide stimulus (external stalls etc.) for
-    the trace checks on the pipelined/sequential machine respectively.
-
-    With ``conjoin`` (default), all invariant obligations are first tried
-    as a single conjoined k-induction — one unrolling instead of dozens,
-    and a conjunction is at least as inductive as its parts (stronger
-    induction hypothesis).  Individual discharge is the fallback, so a
-    failing obligation is still pinpointed.
-
-    ``max_conflicts`` bounds every SAT call (see :mod:`repro.formal.sat`);
-    an exhausted budget degrades the obligation to ``Status.UNKNOWN``.
-    Individual invariant discharge runs through one shared unrolling
-    (:func:`discharge_invariant_group`) — one symbolic build for them all.
-    """
-    report = DischargeReport(machine_name=obligations.machine_name)
-    resolve_properties(pipelined, obligations)
-
-    system = TransitionSystem.from_module(pipelined.module)
-    invariants = obligations.invariants()
-    conjoined_done = False
-    if conjoin and len(invariants) > 1 and not any(o.assume for o in invariants):
-        from ..hdl import expr as E
-
-        start = time.perf_counter()
-        combined = E.all_of(o.prop for o in invariants)
-        result = k_induction(system, combined, k=1, max_conflicts=max_conflicts)
-        if result.holds is True:
-            elapsed = (time.perf_counter() - start) / len(invariants)
-            for obligation in invariants:
-                report.records.append(
-                    DischargeRecord(
-                        oid=obligation.oid,
-                        title=obligation.title,
-                        status=Status.PROVED,
-                        method="1-induction (conjoined)",
-                        seconds=elapsed,
-                        conflicts=result.conflicts,
-                        frames=result.frames,
-                    )
-                )
-            conjoined_done = True
-    if invariants and not conjoined_done:
-        report.records.extend(
-            record
-            for _, record in discharge_invariant_group(
-                system,
-                invariants,
-                max_k=max_k,
-                bmc_bound=bmc_bound,
-                max_conflicts=max_conflicts,
-            )
-        )
-
-    for obligation in obligations.equivalences():
-        report.records.append(discharge_equivalence(obligation))
-
-    trace = None
-    if obligations.trace_checks():
-        trace = build_trace(pipelined, trace_cycles, inputs)
-    for obligation in obligations.trace_checks():
-        report.records.append(
-            discharge_trace(
-                pipelined,
-                obligation,
-                trace=trace,
-                trace_cycles=trace_cycles,
-                liveness_bound=liveness_bound,
-                inputs=inputs,
-                seq_inputs=seq_inputs,
-            )
-        )
-    return report
 
 
 def discharge_invariant(

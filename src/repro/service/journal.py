@@ -150,15 +150,15 @@ class Journal:
         return scan(self.path)
 
     def compact(self, keep: set[str] | None = None) -> int:
-        """Atomically rewrite the journal keeping only incomplete jobs
-        (plus any explicitly listed in ``keep``); returns lines dropped.
+        """Atomically rewrite the journal keeping only the jobs listed in
+        ``keep`` (by default every incomplete job); returns lines dropped.
 
         The rewrite goes through a temp file + rename, so a crash during
         compaction leaves either the old journal or the new one — never
         a half-written hybrid."""
         state = self.scan()
-        keep = set(keep or ())
-        keep.update(job.key for job in state.incomplete())
+        if keep is None:
+            keep = {job.key for job in state.incomplete()}
         kept_lines: list[str] = []
         for job in state.jobs.values():
             if job.key not in keep:

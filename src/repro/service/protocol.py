@@ -21,7 +21,8 @@ level up: requests with equal keys are the same computation, so the
 server coalesces them in flight and serves repeats from its result
 window.  The verdict-preserving ``family`` knob and the robustness
 knobs stay out of the key, exactly as they stay out of the obligation
-fingerprints.
+fingerprints.  Invariant mining is not a request param: the engine
+always mines.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ PARAM_KEYS = (
     "trace_cycles",
     "liveness_bound",
     "max_conflicts",
-    "absint",
     "family",
 )
 
@@ -55,7 +55,6 @@ KEY_PARAMS = (
     "trace_cycles",
     "liveness_bound",
     "max_conflicts",
-    "absint",
 )
 
 FORWARDING_STYLES = ("chain", "tree", "bus")
@@ -119,7 +118,7 @@ def resolve_params(
         if key not in overrides:
             continue
         value = overrides[key]
-        if key in ("absint", "family"):
+        if key == "family":
             if not isinstance(value, bool):
                 raise BadRequest(f"params.{key} must be a boolean")
         elif value is not None and (

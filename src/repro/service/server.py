@@ -230,7 +230,8 @@ class DischargeService:
                 },
             )
             self._queue.put_nowait(job)
-        # drop completed jobs' records; keep what we just re-enqueued
+        # drop completed and skipped jobs' records; keep what we just
+        # re-enqueued
         self.journal.compact(keep=set(self.inflight))
 
     async def drain(self, timeout: float | None = None) -> bool:

@@ -399,30 +399,34 @@ def test_discharge_flips_template_obligations_to_proved(dlx_small):
     """The PR's headline behaviour: ``tmpl.*`` obligations that only
     close as ``bounded bmc(k)`` without help are ``proved`` outright
     once the mined chain is injected."""
-    from repro.jobs import EngineParams, discharge_jobs
-    from repro.proofs import generate_obligations
+    from repro.absint import inject_invariants
+    from repro.proofs import (
+        discharge_invariant_group,
+        generate_obligations,
+        resolve_properties,
+    )
 
     obligations = generate_obligations(dlx_small)
+    resolve_properties(dlx_small, obligations)
+    system = TransitionSystem.from_module(dlx_small.module)
+    invariants = obligations.invariants()
 
-    def tmpl_status(absint: bool) -> dict[str, str]:
-        report = discharge_jobs(
-            dlx_small,
-            obligations,
-            params=EngineParams(absint=absint),
-            jobs=1,
-            cache=None,
-        )
-        assert report.ok, [r.oid for r in report.records if not r.ok]
+    def tmpl_status(group) -> dict[str, str]:
+        records = [
+            record for _, record in discharge_invariant_group(system, group)
+        ]
+        assert all(r.ok for r in records), [r.oid for r in records if not r.ok]
         return {
             r.oid: r.status.value
-            for r in report.records
+            for r in records
             if r.oid.startswith("tmpl.")
         }
 
-    without = tmpl_status(False)
+    without = tmpl_status(invariants)
     ladder_only = {oid for oid, status in without.items() if status == "bounded"}
     assert ladder_only, without
-    with_mining = tmpl_status(True)
+    mined = mine_invariants(dlx_small, system=system).proven
+    with_mining = tmpl_status(inject_invariants(invariants, mined, system))
     assert all(with_mining[oid] == "proved" for oid in ladder_only), (
         ladder_only,
         with_mining,

@@ -14,13 +14,13 @@ from repro.core import (
 )
 from repro.dlx import DlxConfig, assemble, build_dlx_machine
 from repro.hdl import expr as E
+from repro.jobs import EngineParams, discharge_jobs
 from repro.machine import toy
 from repro.proofs import (
     Obligation,
     ObligationKind,
     ObligationSet,
     Status,
-    discharge,
     generate_obligations,
 )
 
@@ -34,7 +34,13 @@ class TestStyleEquivalenceObligations:
         obligations = generate_obligations(pipelined)
         equivalences = obligations.equivalences()
         assert len(equivalences) == 2  # one per operand network
-        report = discharge(pipelined, obligations, trace_cycles=40)
+        report = discharge_jobs(
+            pipelined,
+            obligations,
+            params=EngineParams(trace_cycles=40),
+            jobs=1,
+            cache=None,
+        )
         assert report.ok
         records = {
             r.oid: r for r in report.records if "style_equivalent" in r.oid
@@ -59,7 +65,13 @@ class TestStyleEquivalenceObligations:
                 )
             ],
         )
-        report = discharge(toy_pipelined, bogus, trace_cycles=1)
+        report = discharge_jobs(
+            toy_pipelined,
+            bogus,
+            params=EngineParams(trace_cycles=1),
+            jobs=1,
+            cache=None,
+        )
         assert not report.ok
         assert report.records[0].status is Status.FAILED
         assert "witness" in report.records[0].detail

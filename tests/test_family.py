@@ -469,6 +469,25 @@ class TestEngineServe:
         assert ctx.served == len(o1.obligations)
         assert report.absint is None
 
+    def test_served_verdicts_are_never_slowest(self, toy_analysis, tmp_path):
+        # a served outcome carries the seconds of the solve that seeded
+        # it; a fully served run solved nothing, so nothing is slowest
+        cache = FamilyCache(tmp_path)
+        spec = FAMILIES["toy"]
+        params = EngineParams(trace_cycles=spec.trace_cycles)
+        (w0, p0, o0), (w1, p1, o1) = _toy_instances((8, 16))
+        discharge_jobs(
+            p0, o0, params=params, cache=None,
+            family=FamilyContext(toy_analysis, w0, cache),
+        )
+        report = discharge_jobs(
+            p1, o1, params=params, cache=None,
+            family=FamilyContext(toy_analysis, w1, cache),
+        )
+        assert {o.source for o in report.outcomes} == {"family"}
+        assert max(o.record.seconds for o in report.outcomes) > 0
+        assert "slowest:" not in report.format_text()
+
 
 # ---------------------------------------------------------------------------
 # the family verdict store

@@ -23,7 +23,6 @@ from repro.jobs import EngineParams, ResultCache, discharge_jobs
 from repro.proofs import (
     DischargeRecord,
     Status,
-    discharge,
     fingerprint_exprs,
     fingerprint_invariant,
     generate_obligations,
@@ -282,13 +281,6 @@ class TestEngine:
         assert warm.hit_rate == 1.0
         assert walks == []
 
-    def test_matches_sequential_driver(self, toy_pipelined, toy_obligations):
-        sequential = discharge(toy_pipelined, toy_obligations, conjoin=False)
-        parallel = discharge_jobs(toy_pipelined, toy_obligations, jobs=2)
-        assert {(r.oid, r.status) for r in parallel.records} == {
-            (r.oid, r.status) for r in sequential.records
-        }
-
     def test_timeout_degrades_to_unknown(self, toy_pipelined, toy_obligations):
         report = discharge_jobs(
             toy_pipelined, toy_obligations, jobs=2, timeout=1e-4
@@ -326,6 +318,23 @@ class TestEngine:
         )
         assert warm.uncacheable == report.uncacheable
         assert warm.cache_hits == len(toy_obligations) - report.uncacheable
+
+    def test_cacheless_run_counts_only_custom_stimulus_uncacheable(
+        self, toy_pipelined, toy_obligations
+    ):
+        # without a cache nothing is looked up; only a custom stimulus
+        # makes a trace obligation uncacheable
+        plain = discharge_jobs(toy_pipelined, toy_obligations, jobs=1, cache=None)
+        assert plain.uncacheable == 0
+        assert "0 uncacheable" in plain.format_text()
+        custom = discharge_jobs(
+            toy_pipelined,
+            toy_obligations,
+            jobs=1,
+            cache=None,
+            inputs=lambda cycle: {},
+        )
+        assert custom.uncacheable == len(toy_obligations.trace_checks())
 
     def test_equivalences_through_the_engine(self, toy_machine):
         """A tree-style toy carries two forwarding-style equivalence

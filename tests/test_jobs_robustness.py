@@ -795,7 +795,7 @@ try:
     discharge_jobs(
         pipelined,
         obligations,
-        params=EngineParams(trace_cycles=60, absint=False, max_retries=0),
+        params=EngineParams(trace_cycles=60, max_retries=0),
         jobs=2,
         cache=ResultCache(cache_dir),
         lint_gate=False,

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core import transform
 from repro.hdl import expr as E
+from repro.jobs import EngineParams, discharge_jobs
 from repro.machine import toy
 from repro.proofs import (
     ObligationKind,
     Status,
-    discharge,
     generate_obligations,
     instrument_scheduling,
 )
@@ -100,8 +100,14 @@ class TestInstrumentation:
 class TestDischarge:
     def test_all_obligations_discharge(self, toy_obligations):
         pipelined, obligations = toy_obligations
-        report = discharge(pipelined, obligations, trace_cycles=50)
-        assert report.ok, [r.oid for r in report.failed()]
+        report = discharge_jobs(
+            pipelined,
+            obligations,
+            params=EngineParams(trace_cycles=50),
+            jobs=1,
+            cache=None,
+        )
+        assert report.ok, [r.oid for r in report.failed]
         counts = report.counts()
         assert counts.get("proved", 0) >= 25
         assert counts.get("trace-ok", 0) == 3
@@ -109,15 +115,27 @@ class TestDischarge:
 
     def test_lemma1_is_inductive(self, toy_obligations):
         pipelined, obligations = toy_obligations
-        report = discharge(pipelined, obligations, trace_cycles=30)
+        report = discharge_jobs(
+            pipelined,
+            obligations,
+            params=EngineParams(trace_cycles=30),
+            jobs=1,
+            cache=None,
+        )
         record = next(r for r in report.records if r.oid == "lemma1.full_iff_diff")
         assert record.status is Status.PROVED
         assert "induction" in record.method
 
     def test_summary_format(self, toy_obligations):
         pipelined, obligations = toy_obligations
-        report = discharge(pipelined, obligations, trace_cycles=30)
-        text = report.summary()
+        report = discharge_jobs(
+            pipelined,
+            obligations,
+            params=EngineParams(trace_cycles=30),
+            jobs=1,
+            cache=None,
+        )
+        text = report.format_text().splitlines()[0]
         assert "obligations" in text
         assert str(len(report.records)) in text
 
@@ -136,7 +154,13 @@ class TestDischarge:
             pipelined.engine.ue[0],
         )
         obligations = generate_obligations(pipelined)
-        report = discharge(pipelined, obligations, trace_cycles=40, max_k=1)
+        report = discharge_jobs(
+            pipelined,
+            obligations,
+            params=EngineParams(trace_cycles=40, max_k=1),
+            jobs=1,
+            cache=None,
+        )
         assert not report.ok
-        failing = {r.oid for r in report.failed()}
+        failing = {r.oid for r in report.failed}
         assert failing  # at least the scheduling/consistency checks break

@@ -109,6 +109,9 @@ def test_param_resolution_rejects_unknown_and_mistyped():
     for gone in ("lanes", "share", "incremental", "sweep_frames", "ladder"):
         with pytest.raises(BadRequest):
             protocol.resolve_params(defaults, {gone: 1})
+    # the engine always mines; True is a value the old absint knob took
+    with pytest.raises(BadRequest, match="unknown params: absint"):
+        protocol.resolve_params(defaults, {"absint": True})
     params, clean = protocol.resolve_params(defaults, {"max_k": 3, "family": False})
     assert params.max_k == 3 and params.family is False
     assert clean == {"max_k": 3, "family": False}
@@ -496,6 +499,20 @@ def test_recovery_survives_truncated_journal_tail(tmp_path):
         assert stats["journal_skipped_lines"] == 1
 
 
+def test_recovery_drops_jobs_the_schema_no_longer_accepts(tmp_path):
+    """A job journalled with a param the service has since removed is
+    not re-run on recovery, and recovery compacts its records away."""
+    journal = Journal(tmp_path / "svc" / "journal.ndjson")
+    journal.accepted(
+        "absint-job", "t", {"machine": TOY, "params": {**PARAMS, "absint": True}}
+    )
+    journal.close()
+    with ServerThread(_config(tmp_path)) as server:
+        assert server.call(server.service.stats_dict)["recovered"] == 0
+        state = server.call(server.service.journal.scan)
+        assert state.jobs == {} and state.lines == 0
+
+
 # ---------------------------------------------------------------------------
 # pillar 4: circuit breaker + drain
 
@@ -515,7 +532,7 @@ def test_breaker_quarantines_crashy_tenant(tmp_path, monkeypatch):
     monkeypatch.setattr(engine_mod, "_solver_record", sabotaged)
     config = _config(
         tmp_path,
-        params=EngineParams(max_retries=0, absint=False),
+        params=EngineParams(max_retries=0),
         breaker_threshold=1,
         breaker_cooldown=60.0,
         use_cache=False,
