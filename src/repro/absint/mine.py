@@ -11,7 +11,7 @@ The pipeline is *generate → trace-filter → SAT-verify*:
    registers — stall ``fullb`` bits, write enables, forwarding valids),
    and machine-declared invariant templates
    (:class:`repro.machine.prepared.InvariantTemplate`);
-2. **trace-filter** — run the concrete interpreter for a few hundred
+2. **trace-filter** — run the compiled simulator for a few dozen
    cycles and drop any candidate observed false (cheap, kills most
    junk before the solver sees it);
 3. **verify** — Houdini simultaneous induction
@@ -27,6 +27,7 @@ what it already reads).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import time
 from dataclasses import dataclass, field, replace
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field, replace
 from ..formal.bmc import TransitionSystem
 from ..hdl import expr as E
 from ..hdl.bitvec import mask
+from ..hdl.compile import CompiledSimulator
 from ..hdl.serialize import exprs_from_json, exprs_to_json
-from ..hdl.sim import Evaluator, Simulator
 from ..proofs.obligations import Obligation, ObligationKind
 from .domain import ABSINT_VERSION
 from .fixpoint import FixpointResult, shared_fixpoint
@@ -278,11 +279,14 @@ def _trace_filter(
     evaluates to constant 1 in the stable abstract state, via the
     memoised cross-obligation :meth:`FixpointResult.eval`) hold in every
     reachable state, a fortiori on the trace — they are survivors by
-    construction and skip the per-cycle simulation entirely.
+    construction and skip the simulation entirely.  The rest become the
+    probes of a copy of ``module`` (same registers and memories) on the
+    compiled simulator; a probe reads each cycle's pre-edge state, so a
+    candidate is rejected at the first cycle whose state falsifies it.
     """
     alive = dict(candidates)
     rejected: dict[str, str] = {}
-    simulated = alive
+    simulated = dict(alive)
     if fixpoint is not None:
         simulated = {}
         for name, prop in alive.items():
@@ -290,18 +294,18 @@ def _trace_filter(
             if not (value.width == 1 and value.is_const() and value.lo == 1):
                 simulated[name] = prop
     if simulated:
-        sim = Simulator(module)
-        zero = {name: 0 for name in module.inputs}
+        probed = copy.copy(module)
+        probed.probes = dict(simulated)
+        sim = CompiledSimulator(probed)
         for cycle in range(cycles):
             if not simulated:
                 break
-            evaluator = Evaluator(sim.state, zero)
+            values = sim.step()
             for name in list(simulated):
-                if evaluator.eval(simulated[name]) != 1:
+                if values[name] != 1:
                     rejected[name] = f"falsified at trace cycle {cycle}"
                     del simulated[name]
                     del alive[name]
-            sim.step(zero)
     return alive, rejected
 
 

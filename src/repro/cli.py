@@ -24,7 +24,7 @@ import sys
 
 from .core import TransformOptions, transform
 from .dlx import DlxConfig, DlxReference, assemble, build_dlx_machine, labels_of
-from .hdl.sim import Simulator
+from .hdl.compile import CompiledSimulator
 from .machine import build_sequential
 from .perf import cost_versus_depth, format_table, run_to_completion
 from .proofs import generate_obligations
@@ -80,8 +80,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         module = transform(machine, options).module
 
     target = _target_instructions(program, labels, args.dmem_bits)
+    sim = CompiledSimulator(module)
     if target and not args.cycles:
-        report = run_to_completion(module, target, 5, name=args.program)
+        report = run_to_completion(module, target, 5, name=args.program, sim=sim)
         cycles = report.cycles
         print(
             f"{report.instructions} instructions in {report.cycles} cycles"
@@ -89,10 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         cycles = args.cycles or 1000
-
-    sim = Simulator(module)
-    for _ in range(cycles):
-        sim.step()
+        sim.run(cycles)
     print("\nGPR:")
     rows = [
         {"reg": f"r{reg}", "value": f"{sim.mem('GPR', reg):#010x}"}
@@ -100,11 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if sim.mem("GPR", reg)
     ]
     print(format_table(rows) if rows else "  (all zero)")
-    dmem = {
-        addr: value
-        for addr, value in sim.state.memories["DMem"].items()
-        if value
-    }
+    dmem = {addr: value for addr, value in sim.memory("DMem").items() if value}
     if dmem:
         print("\nDMem (word-indexed):")
         print(

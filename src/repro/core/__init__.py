@@ -4,6 +4,7 @@ speculation, and the associated correctness checks."""
 from .consistency import (
     ConsistencyReport,
     LivenessReport,
+    PipelinedTrace,
     SpecState,
     SpecStateCache,
     check_data_consistency,
@@ -11,6 +12,7 @@ from .consistency import (
     collect_spec_states,
     commit_stream,
     compare_commit_streams,
+    run_pipelined,
     seq_commit_side,
 )
 from .forwarding import (
@@ -36,6 +38,7 @@ __all__ = [
     "Lemma1Report",
     "LivenessReport",
     "PipelinedMachine",
+    "PipelinedTrace",
     "Schedule",
     "SpecState",
     "SpecStateCache",
@@ -50,6 +53,7 @@ __all__ = [
     "compare_commit_streams",
     "compute_schedule",
     "full_bit_name",
+    "run_pipelined",
     "seq_commit_side",
     "transform",
     "valid_bit_name",

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from ..hdl.compile import CompiledSimulator
 from ..hdl.netlist import Module
-from ..hdl.sim import Simulator, Trace
+from ..hdl.sim import Trace
 from ..machine.prepared import PreparedMachine
 from ..machine.sequential import build_sequential
 from .scheduling import compute_schedule
@@ -57,6 +58,74 @@ class SpecState:
     memories: dict[str, dict[int, int]]
 
 
+def _snapshotter(
+    machine: PreparedMachine, sim: CompiledSimulator
+) -> Callable[[], SpecState]:
+    """The one visible-state snapshot of either elaboration: the
+    architectural instance of every visible register and a copy of every
+    visible register file, read from the simulator directly (its
+    ``state`` would copy every memory, instruction ROM included)."""
+    registers = [
+        (reg.name, reg.instance_name(reg.last))
+        for reg in machine.visible_registers()
+    ]
+    regfiles = [regfile.name for regfile in machine.visible_regfiles()]
+
+    def snapshot() -> SpecState:
+        return SpecState(
+            registers={name: sim.reg(instance) for name, instance in registers},
+            memories={name: sim.memory(name) for name in regfiles},
+        )
+
+    return snapshot
+
+
+@dataclass
+class PipelinedTrace(Trace):
+    """The trace of one pipelined run, plus (for a machine without
+    speculation) the ``cycles + 1`` visible-state snapshots
+    :func:`check_data_consistency` reads, the first taken before cycle 0."""
+
+    impl_states: list[SpecState] | None = None
+
+
+def run_pipelined(
+    machine: PreparedMachine,
+    module: Module,
+    cycles: int,
+    inputs: InputProvider | None = None,
+) -> PipelinedTrace:
+    """The one pipelined run every trace checker reads: ``cycles`` cycles
+    of ``module`` on the compiled simulator under ``inputs``."""
+    sim = CompiledSimulator(module)
+    snapshot = None if machine.speculations else _snapshotter(machine, sim)
+    states = [snapshot()] if snapshot is not None else None
+    for _ in range(cycles):
+        sim.step(inputs(sim.cycle) if inputs is not None else None)
+        if snapshot is not None:
+            states.append(snapshot())
+    return PipelinedTrace(
+        probes=sim.trace.probes, inputs=sim.trace.inputs, impl_states=states
+    )
+
+
+class _SequentialRun:
+    """The sequential reference on the compiled simulator, stepped on
+    demand under ``inputs``."""
+
+    def __init__(
+        self, machine: PreparedMachine, inputs: InputProvider | None
+    ) -> None:
+        self.sim = CompiledSimulator(build_sequential(machine))
+        self._inputs = inputs
+
+    def step(self) -> int:
+        """Advance one cycle; 1 when an instruction retired in it."""
+        sim = self.sim
+        stimulus = self._inputs(sim.cycle) if self._inputs is not None else None
+        return sim.step(stimulus)["seq.instr_done"]
+
+
 class SpecStateCache:
     """Lazily extended sequential-reference snapshots.
 
@@ -64,8 +133,6 @@ class SpecStateCache:
     rewrite the *pipelined* elaboration only), so one cache serves every
     consistency check of a campaign: the reference simulation is kept
     alive and extended on demand instead of being re-run per mutant.
-    ``prefix(i)`` returns the same snapshots :func:`collect_spec_states`
-    would, by construction — it is the same simulation, just persistent.
     """
 
     def __init__(
@@ -73,37 +140,29 @@ class SpecStateCache:
     ) -> None:
         self._machine = machine
         self._inputs = inputs
-        self._sim: Simulator | None = None
+        self._run: _SequentialRun | None = None
+        self._snapshot: Callable[[], SpecState] | None = None
         self._states: list[SpecState] = []
         self._cycles = 0
 
-    def _snapshot(self) -> SpecState:
-        sim = self._sim
-        assert sim is not None
-        registers = {
-            reg.name: sim.reg(reg.instance_name(reg.last))
-            for reg in self._machine.visible_registers()
-        }
-        memories = {
-            regfile.name: dict(sim.state.memories[regfile.name])
-            for regfile in self._machine.visible_regfiles()
-        }
-        return SpecState(registers=registers, memories=memories)
-
-    def prefix(self, instructions: int) -> list[SpecState]:
+    def prefix(
+        self, instructions: int, max_cycles: int | None = None
+    ) -> list[SpecState]:
         """Snapshots before instructions ``0..instructions`` (inclusive);
-        the returned list may be longer than requested."""
-        if self._sim is None:
-            self._sim = Simulator(build_sequential(self._machine))
+        the returned list may be longer than requested.  Raises
+        :class:`RuntimeError` when the reference has not retired that many
+        within ``max_cycles`` cycles in all (default
+        ``(instructions + 1) * n_stages * 4``)."""
+        if self._run is None:
+            self._run = _SequentialRun(self._machine, self._inputs)
+            self._snapshot = _snapshotter(self._machine, self._run.sim)
             self._states.append(self._snapshot())
-        max_cycles = (instructions + 1) * self._machine.n_stages * 4
+        if max_cycles is None:
+            max_cycles = (instructions + 1) * self._machine.n_stages * 4
         while len(self._states) <= instructions and self._cycles < max_cycles:
-            stimulus = (
-                self._inputs(self._sim.cycle) if self._inputs is not None else {}
-            )
-            values = self._sim.step(stimulus)
+            retired = self._run.step()
             self._cycles += 1
-            if values["seq.instr_done"]:
+            if retired:
                 self._states.append(self._snapshot())
         if len(self._states) <= instructions:
             raise RuntimeError(
@@ -125,36 +184,9 @@ def collect_spec_states(
 
     ``R_S^i`` of the paper is ``result[i]``.
     """
-    module = build_sequential(machine)
-    sim = Simulator(module)
-    n = machine.n_stages
-    max_cycles = max_cycles if max_cycles is not None else (instructions + 1) * n * 4
-
-    def snapshot() -> SpecState:
-        registers = {
-            reg.name: sim.reg(reg.instance_name(reg.last))
-            for reg in machine.visible_registers()
-        }
-        memories = {
-            regfile.name: dict(sim.state.memories[regfile.name])
-            for regfile in machine.visible_regfiles()
-        }
-        return SpecState(registers=registers, memories=memories)
-
-    states = [snapshot()]
-    cycles = 0
-    while len(states) <= instructions and cycles < max_cycles:
-        stimulus = inputs(sim.cycle) if inputs is not None else {}
-        values = sim.step(stimulus)
-        cycles += 1
-        if values["seq.instr_done"]:
-            states.append(snapshot())
-    if len(states) <= instructions:
-        raise RuntimeError(
-            f"sequential reference retired only {len(states) - 1} instructions"
-            f" in {cycles} cycles (wanted {instructions})"
-        )
-    return states
+    return SpecStateCache(machine, inputs).prefix(
+        instructions, max_cycles=max_cycles
+    )
 
 
 def check_data_consistency(
@@ -176,10 +208,12 @@ def check_data_consistency(
 
     Precomputed artifacts may be supplied instead of resimulating: a
     ``trace`` together with per-cycle ``impl_states`` (``cycles + 1``
-    snapshots, the first taken before cycle 0) replaces the internal
-    pipelined run, and a shared :class:`SpecStateCache` replaces the
-    per-call sequential run.  The lockstep fault campaign uses both to
-    check many mutants against one reference simulation.
+    snapshots, the first taken before cycle 0; a :class:`PipelinedTrace`
+    carries its own) replaces the internal pipelined run, and a shared
+    :class:`SpecStateCache` replaces the per-call sequential run.  The
+    trace obligations share one run per machine this way, and the
+    lockstep fault campaign checks many mutants against one reference
+    simulation.
     """
     if machine.speculations:
         raise ValueError(
@@ -188,42 +222,21 @@ def check_data_consistency(
         )
     n = machine.n_stages
 
+    if impl_states is None and isinstance(trace, PipelinedTrace):
+        impl_states = trace.impl_states
     if trace is None or impl_states is None:
         if pipelined_module is None:
             raise ValueError(
                 "need either pipelined_module or precomputed trace+impl_states"
             )
-        sim = Simulator(pipelined_module)
-
-        # Visible-state snapshots of the *implementation*, one per cycle.
-        impl_states = []
-
-        def impl_snapshot() -> SpecState:
-            registers = {
-                reg.name: sim.reg(reg.instance_name(reg.last))
-                for reg in machine.visible_registers()
-            }
-            memories = {
-                regfile.name: dict(sim.state.memories[regfile.name])
-                for regfile in machine.visible_regfiles()
-            }
-            return SpecState(registers=registers, memories=memories)
-
-        impl_states.append(impl_snapshot())
-        for _ in range(cycles):
-            stimulus = inputs(sim.cycle) if inputs is not None else {}
-            sim.step(stimulus)
-            impl_states.append(impl_snapshot())
-        trace = sim.trace
+        trace = run_pipelined(machine, pipelined_module, cycles, inputs)
+        impl_states = trace.impl_states
 
     schedule = compute_schedule(trace, n)
     retired = schedule.instructions_retired()
-    if spec_cache is not None:
-        spec_states = spec_cache.prefix(schedule.instructions_fetched())
-    else:
-        spec_states = collect_spec_states(
-            machine, schedule.instructions_fetched(), inputs=seq_inputs
-        )
+    if spec_cache is None:
+        spec_cache = SpecStateCache(machine, seq_inputs)
+    spec_states = spec_cache.prefix(schedule.instructions_fetched())
 
     violations: list[str] = []
     for t in range(cycles + 1):
@@ -301,14 +314,9 @@ def seq_commit_side(
     reference for ``seq_cycles`` and return ``(streams, retired)``.  The
     result is mutant-independent, so campaigns compute it once per core
     and pass it to :func:`compare_commit_streams` as ``seq_side``."""
-    seq_module = build_sequential(machine)
-    seq_sim = Simulator(seq_module)
-    retired = 0
-    for _ in range(seq_cycles):
-        stimulus = seq_inputs(seq_sim.cycle) if seq_inputs is not None else {}
-        values = seq_sim.step(stimulus)
-        retired += values["seq.instr_done"]
-    return commit_stream(seq_sim.trace, machine, exclude=exclude), retired
+    run = _SequentialRun(machine, seq_inputs)
+    retired = sum(run.step() for _ in range(seq_cycles))
+    return commit_stream(run.sim.trace, machine, exclude=exclude), retired
 
 
 def compare_commit_streams(
@@ -344,11 +352,7 @@ def compare_commit_streams(
             raise ValueError(
                 "need either pipelined_module or a precomputed pipe_trace"
             )
-        pipe_sim = Simulator(pipelined_module)
-        for _ in range(cycles):
-            stimulus = inputs(pipe_sim.cycle) if inputs is not None else {}
-            pipe_sim.step(stimulus)
-        pipe_trace = pipe_sim.trace
+        pipe_trace = run_pipelined(machine, pipelined_module, cycles, inputs)
     pipe_streams = commit_stream(pipe_trace, machine, exclude=repaired)
 
     if seq_side is None:
@@ -361,11 +365,9 @@ def compare_commit_streams(
     seq_streams, retired = seq_side
 
     violations: list[str] = []
-    committed_anything = False
     for name in seq_streams:
         pipe_events = pipe_streams.get(name, [])
         seq_events = seq_streams[name]
-        committed_anything = committed_anything or bool(pipe_events)
         length = min(len(pipe_events), len(seq_events))
         violations.extend(
             f"{name} commit {index}: pipelined {pipe_events[index]}"

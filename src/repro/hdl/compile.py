@@ -4,8 +4,12 @@ The interpreting :class:`repro.hdl.sim.Simulator` walks the expression DAG
 every cycle; for long benchmark runs that dominates.  This module compiles
 a module once into straight-line Python (one assignment per unique DAG
 node, constants folded into literals, masks precomputed) and executes the
-compiled function per cycle — typically 10-30x faster, with *identical*
-semantics (property-tested against the interpreter).
+compiled function per cycle, with *identical* semantics (property-tested
+against the interpreter).  Every simulation on the discharge path runs
+here.  On a 2-vCPU Xeon host, 150 cycles of the pipelined dlx-small
+machine take 4 ms against the interpreter's 90 ms, plus 6 ms to compile;
+its 750-cycle sequential reference run takes 11 ms against 251 ms, plus
+6 ms to compile.
 
 Usage::
 
@@ -233,6 +237,11 @@ class CompiledSimulator:
 
     def mem(self, name: str, addr: int) -> int:
         return self._mems[name].get(addr, 0)
+
+    def memory(self, name: str) -> dict[int, int]:
+        """A copy of one memory's words, without materialising the whole
+        :attr:`state`."""
+        return dict(self._mems[name])
 
     def peek(self, probe: str, inputs: Mapping[str, int] | None = None) -> int:
         """Evaluate a probe against the current state without stepping."""

@@ -149,7 +149,13 @@ class Trace:
 
 
 class Simulator:
-    """Stateful cycle simulator for a module."""
+    """Stateful cycle simulator for a module: the reference semantics.
+
+    The discharge path runs on :class:`repro.hdl.compile.CompiledSimulator`
+    and the fault campaign's lockstep rung on
+    :class:`repro.hdl.batchsim.BatchSimulator`; the differential suites
+    hold both to this interpreter.
+    """
 
     def __init__(self, module: Module, state: ModuleState | None = None) -> None:
         module.validate()
@@ -173,10 +179,20 @@ class Simulator:
         return self.state.memories[name].get(addr, 0)
 
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
-        """Advance one clock cycle; returns this cycle's probe values."""
+        """Advance one clock cycle; returns this cycle's probe values.
+
+        Absent inputs read as 0; a declared input's out-of-range value is
+        rejected before anything is evaluated, whether or not the cycle
+        reads that input.
+        """
         inputs = dict(inputs or {})
-        for name in self.module.inputs:
-            inputs.setdefault(name, 0)
+        for name, width in self.module.inputs.items():
+            value = inputs.setdefault(name, 0)
+            if not 0 <= value <= mask(width):
+                raise SimulationError(
+                    f"input {name!r}: value {value} does not fit"
+                    f" in {width} bits"
+                )
         evaluator = Evaluator(self.state, inputs)
 
         probe_values: dict[str, int] = {}

@@ -1081,13 +1081,12 @@ def discharge_jobs(
     )
     _run_tasks(tasks, system, params, jobs, timeout, pool, report, settle)
 
-    # -- trace obligations: inline, sharing one stimulus run -------------------
-    shared_trace = None
-    if any(
-        obligation.checker in ("lemma1", "liveness")
-        for _, obligation, _ in inline_trace
-    ):
-        shared_trace = build_trace(pipelined, params.trace_cycles, inputs)
+    # -- trace obligations: inline, every checker reading one pipelined run ----
+    shared_trace = (
+        build_trace(pipelined, params.trace_cycles, inputs)
+        if inline_trace
+        else None
+    )
     for position, obligation, fingerprint in inline_trace:
         record = discharge_trace(
             pipelined,

@@ -26,15 +26,17 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..core.consistency import (
+    PipelinedTrace,
     check_data_consistency,
     check_liveness,
     compare_commit_streams,
+    run_pipelined,
 )
 from ..core.scheduling import check_lemma1
 from ..formal.equiv import check_equivalence
 from ..core.transform import PipelinedMachine
 from ..formal.bmc import TransitionSystem
-from ..hdl.sim import Simulator, Trace
+from ..hdl.sim import Trace
 from .instrument import instrument_scheduling
 from .obligations import Obligation, ObligationKind, ObligationSet
 
@@ -89,13 +91,14 @@ def build_trace(
     pipelined: PipelinedMachine,
     trace_cycles: int,
     inputs: InputProvider | None = None,
-) -> Trace:
-    """The shared stimulus run all trace obligations of a machine check."""
-    sim = Simulator(pipelined.module)
-    for _ in range(trace_cycles):
-        stimulus = inputs(sim.cycle) if inputs is not None else {}
-        sim.step(stimulus)
-    return sim.trace
+) -> PipelinedTrace:
+    """The one pipelined run all trace obligations of a machine read
+    (:func:`repro.core.run_pipelined`): its trace, and for a machine
+    without speculation the visible-state snapshots data consistency
+    checks."""
+    return run_pipelined(
+        pipelined.machine, pipelined.module, trace_cycles, inputs
+    )
 
 
 def discharge_invariant(
@@ -259,22 +262,26 @@ def discharge_trace(
 ) -> DischargeRecord:
     """Discharge one trace obligation by running its dynamic checker.
 
-    ``trace`` lets callers share one stimulus run across the trace
-    obligations of a machine; it is rebuilt on demand when omitted.
+    ``trace`` lets callers share one pipelined run across the trace
+    obligations of a machine; it is rebuilt on demand when omitted.  A
+    :func:`build_trace` result carries the consistency checker's
+    per-cycle snapshots with it, so every checker reads that one run and
+    only the sequential reference is simulated here.
 
     The remaining artifact arguments let a caller that already simulated
-    the machine (e.g. the lockstep fault campaign, which extracts lane
-    views from one batch run) discharge without any resimulation:
-    ``impl_states`` are the per-cycle visible-state snapshots consumed by
-    the consistency checker (paired with ``trace``), ``spec_cache`` is a
-    shared :class:`repro.core.SpecStateCache`, and ``seq_side`` is a
+    the machine some other way (e.g. the lockstep fault campaign, which
+    extracts lane views from one batch run) discharge without any
+    resimulation: ``impl_states`` are the per-cycle visible-state
+    snapshots consumed by the consistency checker (paired with
+    ``trace``), ``spec_cache`` is a shared
+    :class:`repro.core.SpecStateCache`, and ``seq_side`` is a
     precomputed :func:`repro.core.seq_commit_side` result.
     """
     assert obligation.kind is ObligationKind.TRACE
     start = time.perf_counter()
     n = pipelined.n_stages
     bound = liveness_bound if liveness_bound is not None else 8 * n
-    if trace is None and obligation.checker in ("lemma1", "liveness"):
+    if trace is None:
         trace = build_trace(pipelined, trace_cycles, inputs)
     if obligation.checker == "lemma1":
         result = check_lemma1(trace, n)
@@ -286,7 +293,7 @@ def discharge_trace(
             cycles=trace_cycles,
             inputs=inputs,
             seq_inputs=seq_inputs,
-            trace=trace if impl_states is not None else None,
+            trace=trace,
             impl_states=impl_states,
             spec_cache=spec_cache,
         )
@@ -298,7 +305,7 @@ def discharge_trace(
             cycles=trace_cycles,
             inputs=inputs,
             seq_inputs=seq_inputs,
-            pipe_trace=trace if seq_side is not None else None,
+            pipe_trace=trace,
             seq_side=seq_side,
         )
         ok, detail = streams.ok, "; ".join(streams.violations[:3])

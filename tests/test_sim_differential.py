@@ -19,9 +19,10 @@ import random
 import pytest
 
 from repro.hdl import expr as E
+from repro.hdl.batchsim import BatchSimulator
 from repro.hdl.compile import CompiledSimulator
 from repro.hdl.netlist import Module
-from repro.hdl.sim import Simulator
+from repro.hdl.sim import SimulationError, Simulator
 
 _WIDTHS = [1, 3, 4, 8, 16]
 
@@ -123,3 +124,29 @@ def test_differential_small(seed, fuzz_seed_base):
 @pytest.mark.parametrize("seed", range(8, 80))
 def test_differential_sweep(seed, fuzz_seed_base):
     run_differential(seed + fuzz_seed_base, cycles=100)
+
+
+def _unread_input_module() -> Module:
+    """A counter with a declared 2-bit input that no expression reads."""
+    module = Module("unread")
+    module.add_input("x", 2)
+    count = module.add_register("r", 4)
+    module.drive_register("r", E.add(count, E.const(4, 1)))
+    module.add_probe("r", count)
+    return module
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Simulator, CompiledSimulator, lambda module: BatchSimulator(module, lanes=1)],
+    ids=["interpreter", "compiled", "batch-1"],
+)
+def test_unread_input_out_of_range_rejected(make):
+    """Every simulator checks each declared input before stepping, read
+    or not, so they accept exactly the same stimuli."""
+    sim = make(_unread_input_module())
+    with pytest.raises(SimulationError, match="value 7 does not fit in 2 bits"):
+        sim.step({"x": 7})
+    assert sim.cycle == 0
+    sim.step({"x": 3})
+    assert sim.cycle == 1
