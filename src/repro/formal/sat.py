@@ -7,32 +7,62 @@ discharge hardware proof obligations by handing CNF to this solver.
 Implemented techniques: two-watched-literal propagation, first-UIP conflict
 analysis with clause learning, VSIDS-style activity decision heuristic
 (lazy max-heap) with phase saving, Luby restarts, and learned-clause
-minimisation (self-subsuming resolution against reason clauses).
+minimisation (one level of self-subsuming resolution against reason
+clauses: a literal goes when every other literal of its reason is already
+in the clause or false at level 0).
 
 The solver is *incremental*: clauses may be added between :meth:`Solver.solve`
 calls, and ``solve(assumptions=[...])`` treats the given literals as
 temporary pseudo-decisions enqueued before any heuristic decision.  Learned
 clauses never resolve past a decision, so everything learned under
 assumptions is implied by the clause database alone and is retained — along
-with variable activities and saved phases — across calls.  When the instance
-is unsatisfiable *under the assumptions*, final-conflict analysis produces an
-**unsat core**: a subset of the assumption literals sufficient for the
-conflict (``SatResult.core``).  An unsatisfiable clause database (empty core)
-makes the solver permanently UNSAT; assumption-relative UNSAT leaves it fully
-reusable.
+with variable activities and saved phases — across calls.  The solver never
+deletes learned clauses (nor any stored clause), so the clause database only
+grows and a proof log of it can be append-only.  When the
+instance is unsatisfiable *under the assumptions*, final-conflict analysis
+produces an **unsat core**: a subset of the assumption literals sufficient
+for the conflict (``SatResult.core``).  An unsatisfiable clause database
+(empty core) makes the solver permanently UNSAT; assumption-relative UNSAT
+leaves it fully reusable.
 
 Literals use the DIMACS convention: variables are positive integers, a
 negative integer denotes the negated variable.
 
+Internally the solver works on a dense layout.  Each DIMACS variable gets
+an index ``i`` the first time a clause or an assumption mentions it, and
+its literals become the codes ``2i`` (positive) and ``2i + 1`` (negated),
+so negation is ``code ^ 1``.  Values and watch lists are lists indexed by
+literal code; level, reason clause, activity, saved phase and decision-heap
+bookkeeping are lists indexed by variable.  Their size follows the
+variables in use, not the largest DIMACS id: the incremental CNF emitter
+numbers solver variables by AIG node, so ids run far beyond the number of
+variables any clause mentions.  Models and cores are translated back to
+DIMACS numbering.
+
 The solver is fully deterministic — no randomness, no wall-clock dependence,
-insertion-ordered data structures throughout — so the same clause set always
-produces the same verdict, model and statistics.  Runs are interruptible in
-two ways: a ``max_conflicts`` budget (the discharge engines degrade an
-exhausted budget to an *unknown* verdict instead of hanging) and an
-``interrupt`` callback polled between conflicts, which lets a cooperative
-scheduler cancel an in-flight solve without killing the process.  Both are
-per-call: an aborted call leaves the solver reusable, budgets do not carry
-over.
+insertion-ordered data structures throughout — so the same sequence of
+calls always produces the same verdicts, models and statistics.  Four
+invariants pin the search itself, and ``tests/test_sat.py`` holds it to
+recorded trajectories:
+
+- clause literals and watch lists are reordered only by propagation's watch
+  moves, in visiting order, and nothing is ever removed from a watch list
+  except by such a move;
+- a reason clause keeps its implied literal at index 0, so conflict
+  analysis resolves on ``clause[1:]``;
+- the decision heap is keyed on ``(-activity, DIMACS variable)``, so ties
+  break towards the smaller DIMACS id;
+- every unassigned decidable variable has a heap entry at its current
+  activity.  Bumping an assigned variable pushes nothing, and backtracking
+  re-queues only variables whose entry is missing or stale; stale entries
+  are skipped when popped.
+
+Runs are interruptible in two ways: a ``max_conflicts`` budget (the
+discharge engines degrade an exhausted budget to an *unknown* verdict
+instead of hanging) and an ``interrupt`` callback polled between
+conflicts, which lets a cooperative scheduler cancel an in-flight solve
+without killing the process.  Both are per-call: an aborted call leaves
+the solver reusable, budgets do not carry over.
 """
 
 from __future__ import annotations
@@ -48,6 +78,12 @@ SOLVER_VERSION = 2
 
 # how many conflicts pass between polls of the `interrupt` callback
 _INTERRUPT_GRANULARITY = 64
+
+# activities are rescaled by 1e-100 once one exceeds this
+_RESCALE_LIMIT = 1e100
+
+# `_queued` value of a variable without a heap entry at its current activity
+_NOT_QUEUED = -1.0
 
 
 @dataclass
@@ -89,36 +125,66 @@ class Solver:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[list[int]] = []
-        self._watches: dict[int, list[int]] = {}
-        # assignment: var -> bool, plus trail bookkeeping
-        self._assign: dict[int, bool] = {}
-        self._level: dict[int, int] = {}
-        self._reason: dict[int, int | None] = {}
+        # DIMACS variable <-> dense index, numbered by first use
+        self._index: dict[int, int] = {}
+        self._external: list[int] = []
+        # per literal code: True / False / None (unassigned), and the
+        # clauses watching it
+        self._value: list[bool | None] = []
+        self._watches: list[list[list[int]]] = []
+        # per variable
+        self._level: list[int] = []
+        self._reason: list[list[int] | None] = []
+        self._activity: list[float] = []
+        self._phase: list[int] = []  # saved phase as a code bit: 0 true, 1 false
+        # Only variables occurring in some clause are decidable: deciding a
+        # variable no clause mentions (an assumption-only one) is pure waste.
+        self._decidable: list[bool] = []
+        # activity of the variable's entry in `_order`, _NOT_QUEUED if none
+        self._queued: list[float] = []
+        self._seen: list[bool] = []  # conflict-analysis scratch, all False between
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._activity: dict[int, float] = {}
         self._var_inc = 1.0
-        self._phase: dict[int, bool] = {}
-        # lazy decision heap of (-activity, var); stale entries are skipped.
-        # Only variables occurring in some clause are decidable: callers may
-        # reserve large contiguous variable ranges (the incremental CNF
-        # emitter numbers solver variables by AIG node), and deciding a
-        # variable no clause mentions is pure waste.
-        self._order: list[tuple[float, int]] = []
-        self._decidable: set[int] = set()
-        # clauses[:_unit_scan] have had their units applied to the
-        # persistent level-0 assignment; solve() only scans the suffix
-        self._unit_scan = 0
+        # lazy decision heap of (-activity, DIMACS variable, index)
+        self._order: list[tuple[float, int, int]] = []
+        self._propagations = 0
         self._ok = True
-        self.stats = SatResult(satisfiable=None)
 
     # -- problem construction -------------------------------------------------
 
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
+
+    def _new_index(self, var: int) -> int:
+        """Give DIMACS variable ``var`` the next dense index."""
+        index = len(self._external)
+        self._index[var] = index
+        self._external.append(var)
+        self._value += (None, None)
+        self._watches += ([], [])
+        self._level.append(0)
+        self._reason.append(None)
+        self._activity.append(0.0)
+        self._phase.append(1)
+        self._decidable.append(False)
+        self._queued.append(_NOT_QUEUED)
+        self._seen.append(False)
+        return index
+
+    def _code(self, lit: int) -> int:
+        """The literal code of DIMACS literal ``lit``."""
+        var = lit if lit > 0 else -lit
+        index = self._index.get(var)
+        if index is None:
+            index = self._new_index(var)
+        return index << 1 if lit > 0 else (index << 1) | 1
+
+    def _dimacs(self, code: int) -> int:
+        var = self._external[code >> 1]
+        return -var if code & 1 else var
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause; duplicate literals are merged, tautologies dropped.
@@ -128,6 +194,11 @@ class Solver:
         already false at level 0 are dropped and clauses already satisfied
         at level 0 are discarded outright.
         """
+        if self._trail_lim:  # only after an exception escaped solve()
+            self._backtrack(0)
+        index_of = self._index
+        value = self._value
+        decidable = self._decidable
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
@@ -138,203 +209,226 @@ class Solver:
             if lit in seen:
                 continue
             seen.add(lit)
-            if abs(lit) > self.num_vars:
-                self.num_vars = abs(lit)
-            value = self._root_value(lit)
-            if value is True:
+            var = lit if lit > 0 else -lit
+            if var > self.num_vars:
+                self.num_vars = var
+            index = index_of.get(var)
+            if index is None:
+                index = self._new_index(var)
+            code = index << 1 if lit > 0 else (index << 1) | 1
+            assigned = value[code]
+            if assigned is True:
                 return  # satisfied forever by the level-0 assignment
-            if value is False:
+            if assigned is False:
                 continue  # dropped: false forever
-            clause.append(lit)
-            var = abs(lit)
-            if var not in self._decidable:
-                self._decidable.add(var)
-                heapq.heappush(self._order, (-self._activity.get(var, 0.0), var))
+            clause.append(code)
+            if not decidable[index]:
+                decidable[index] = True
+                activity = self._activity[index]
+                self._queued[index] = activity
+                heapq.heappush(self._order, (-activity, var, index))
         if not clause:
             self._ok = False
-            return
-        if len(clause) == 1:
-            # store as unit; (re)applied at solve start
-            self.clauses.append(clause)
-            if self._trail_lim:  # pragma: no cover - not used mid-search
-                return
-            if not self._enqueue(clause[0], None):
-                self._ok = False
-            return
-        self._attach(clause)
+        elif len(clause) == 1:
+            self._enqueue(clause[0], None)  # at level 0, for good
+        else:
+            self._watches[clause[0]].append(clause)
+            self._watches[clause[1]].append(clause)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
             self.add_clause(clause)
 
-    def _root_value(self, lit: int) -> bool | None:
-        """The literal's value under the level-0 assignment only."""
-        var = abs(lit)
-        value = self._assign.get(var)
-        if value is None or self._level.get(var, 0) != 0:
-            return None
-        return value if lit > 0 else not value
+    # -- assignment and propagation ---------------------------------------------
 
-    def _attach(self, clause: list[int]) -> int:
-        index = len(self.clauses)
-        self.clauses.append(clause)
-        self._watches.setdefault(clause[0], []).append(index)
-        self._watches.setdefault(clause[1], []).append(index)
-        return index
-
-    # -- assignment helpers ----------------------------------------------------
-
-    def _lit_value(self, lit: int) -> bool | None:
-        value = self._assign.get(abs(lit))
-        if value is None:
-            return None
-        return value if lit > 0 else not value
-
-    def _enqueue(self, lit: int, reason: int | None) -> bool:
-        value = self._lit_value(lit)
-        if value is not None:
-            return value
-        var = abs(lit)
-        self._assign[var] = lit > 0
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        """Assign the unassigned literal code ``lit`` true."""
+        value = self._value
+        value[lit] = True
+        value[lit ^ 1] = False
+        var = lit >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
-        self.stats.propagations += 1
-        return True
+        self._propagations += 1
 
-    def _propagate(self) -> int | None:
-        """Unit propagation; returns the index of a conflicting clause."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = -lit
-            watch_list = self._watches.get(false_lit, [])
-            kept: list[int] = []
-            i = 0
-            while i < len(watch_list):
-                ci = watch_list[i]
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation; returns a conflicting clause.
+
+        The watched literals are ``clause[0]`` and ``clause[1]``.  Each
+        watch list is compacted in place as it is walked; on a conflict
+        its unvisited tail stays where it is.
+        """
+        trail = self._trail
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reasons = self._reason
+        current = len(self._trail_lim)
+        qhead = self._qhead
+        assigned = 0
+        conflict = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watch_list = watches[false_lit]
+            end = len(watch_list)
+            i = kept = 0
+            while i < end:
+                clause = watch_list[i]
                 i += 1
-                clause = self.clauses[ci]
-                # normalise: watched literals are clause[0], clause[1]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) is True:
-                    kept.append(ci)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = value[first]
+                if first_value is True:
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
-                # search replacement watch
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) is not False:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self._watches.setdefault(clause[1], []).append(ci)
-                        moved = True
+                j = 2
+                size = len(clause)
+                while j < size:
+                    other = clause[j]
+                    if value[other] is not False:
+                        clause[1] = other
+                        clause[j] = false_lit
+                        watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self._lit_value(first) is False:
-                    # conflict
-                    kept.extend(watch_list[i:])
-                    self._watches[false_lit] = kept
-                    self._qhead = len(self._trail)
-                    return ci
-                self._enqueue(first, ci)
-            self._watches[false_lit] = kept
-        return None
+                    j += 1
+                else:
+                    watch_list[kept] = clause
+                    kept += 1
+                    if first_value is False:
+                        conflict = clause
+                        break
+                    value[first] = True
+                    value[first ^ 1] = False
+                    var = first >> 1
+                    level[var] = current
+                    reasons[var] = clause
+                    trail.append(first)
+                    assigned += 1
+            if conflict is not None:
+                del watch_list[kept:i]
+                qhead = len(trail)
+                break
+            del watch_list[kept:]
+        self._qhead = qhead
+        self._propagations += assigned
+        return conflict
 
     # -- conflict analysis -----------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        activity = self._activity.get(var, 0.0) + self._var_inc
-        self._activity[var] = activity
-        if activity > 1e100:
-            for v in self._activity:
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._rebuild_order()
-        else:
-            heapq.heappush(self._order, (-activity, var))
+    def _rescale(self) -> None:
+        """Scale every activity down by 1e-100 and rebuild the heap."""
+        activity = self._activity
+        for var in range(len(activity)):
+            activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        queued = self._queued
+        value = self._value
+        external = self._external
+        order = []
+        for var, decidable in enumerate(self._decidable):
+            if decidable and value[var << 1] is None:
+                queued[var] = activity[var]
+                order.append((-activity[var], external[var], var))
+            else:
+                queued[var] = _NOT_QUEUED
+        heapq.heapify(order)
+        self._order = order
 
-    def _rebuild_order(self) -> None:
-        self._order = [
-            (-self._activity.get(var, 0.0), var)
-            for var in self._decidable
-            if var not in self._assign
-        ]
-        heapq.heapify(self._order)
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """First-UIP analysis; returns (learned clause, backjump level).
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
-        """First-UIP analysis; returns (learned clause, backjump level)."""
+        Every variable met is assigned, so bumping its activity only makes
+        its heap entry (if any) stale; backtracking re-queues it.
+        """
+        level = self._level
+        reasons = self._reason
+        activity = self._activity
+        seen = self._seen
+        trail = self._trail
+        var_inc = self._var_inc
+        current = len(self._trail_lim)
         learned: list[int] = []
-        seen: set[int] = set()
         counter = 0
-        lit = 0
-        clause = list(self.clauses[conflict])
-        index = len(self._trail) - 1
-        current_level = len(self._trail_lim)
-
+        clause = conflict
+        index = len(trail) - 1
         while True:
             for q in clause:
-                var = abs(q)
-                if var in seen or self._level.get(var, 0) == 0:
+                var = q >> 1
+                if seen[var]:
                     continue
-                seen.add(var)
-                self._bump(var)
-                if self._level[var] == current_level:
+                var_level = level[var]
+                if var_level == 0:
+                    continue
+                seen[var] = True
+                bumped = activity[var] + var_inc
+                activity[var] = bumped
+                if bumped > _RESCALE_LIMIT:
+                    self._rescale()
+                    var_inc = self._var_inc
+                if var_level == current:
                     counter += 1
                 else:
                     learned.append(q)
-            # pick next literal from trail at current level
-            while abs(self._trail[index]) not in seen:
+            # the next literal of the current level on the trail
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            lit = self._trail[index]
+            lit = trail[index]
             index -= 1
-            var = abs(lit)
-            seen.discard(var)
+            var = lit >> 1
+            seen[var] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[var]
-            assert reason is not None
-            clause = [q for q in self.clauses[reason] if q != lit]
+            clause = reasons[var][1:]
 
-        learned = self._minimize(learned, seen)
-        learned.insert(0, -lit)
+        learned = self._minimize(learned)
+        learned.insert(0, lit ^ 1)
         if len(learned) == 1:
             return learned, 0
-        # backjump to the second-highest level in the clause
-        levels = sorted((self._level[abs(q)] for q in learned[1:]), reverse=True)
-        back = levels[0]
-        # move a literal of that level into watch position 1
-        for i, q in enumerate(learned[1:], start=1):
-            if self._level[abs(q)] == back:
+        # backjump to the second-highest level in the clause, and move its
+        # first literal of that level into watch position 1
+        back = max(level[q >> 1] for q in learned[1:])
+        for i in range(1, len(learned)):
+            if level[learned[i] >> 1] == back:
                 learned[1], learned[i] = learned[i], learned[1]
                 break
         return learned, back
 
-    def _minimize(self, learned: list[int], seen: set[int]) -> list[int]:
-        """Drop literals implied by the rest of the clause (recursive
-        minimisation against reason clauses)."""
-        seen = set(seen) | {abs(q) for q in learned}
+    def _minimize(self, learned: list[int]) -> list[int]:
+        """Drop literals implied by the rest of the clause, one level deep.
+
+        ``learned`` holds the non-UIP literals, each with its variable marked
+        seen.  A literal goes when every other literal of its reason clause
+        is seen or false at level 0; the marks are cleared on return.
+        """
+        level = self._level
+        reasons = self._reason
+        seen = self._seen
         result = []
         for q in learned:
-            reason = self._reason.get(abs(q))
+            reason = reasons[q >> 1]
             if reason is None:
                 result.append(q)
                 continue
-            if any(
-                abs(r) not in seen and self._level.get(abs(r), 0) > 0
-                for r in self.clauses[reason]
-                if r != -q
-            ):
-                result.append(q)
+            for r in reason[1:]:
+                var = r >> 1
+                if not seen[var] and level[var] > 0:
+                    result.append(q)
+                    break
+        for q in learned:
+            seen[q >> 1] = False
         return result
 
     def _analyze_final(self, failed: int) -> list[int]:
-        """Assumption literals responsible for ``failed`` being false.
+        """Assumption literals (codes) responsible for ``failed`` being false.
 
-        Walks the implication trail backwards from ``-failed``; every
+        Walks the implication trail backwards from ``failed ^ 1``; every
         pseudo-decision (reason ``None`` above level 0) reached is an
         assumption, because assumptions are the only decisions on the trail
         when an assumption conflict is discovered.  The returned core is a
@@ -344,73 +438,83 @@ class Solver:
         core = [failed]
         if not self._trail_lim:
             return core  # forced at level 0 by the clause database
-        seen = {abs(failed)}
-        for index in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-            lit = self._trail[index]
-            var = abs(lit)
+        level = self._level
+        reasons = self._reason
+        trail = self._trail
+        seen = {failed >> 1}
+        for index in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
+            lit = trail[index]
+            var = lit >> 1
             if var not in seen:
                 continue
             seen.discard(var)
-            reason = self._reason.get(var)
+            reason = reasons[var]
             if reason is None:
                 core.append(lit)
                 continue
-            for q in self.clauses[reason]:
-                if self._level.get(abs(q), 0) > 0:
-                    seen.add(abs(q))
+            for q in reason[1:]:
+                if level[q >> 1] > 0:
+                    seen.add(q >> 1)
         return core
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        order = self._order
+        limit = trail_lim[level]
+        trail = self._trail
+        value = self._value
+        phase = self._phase
         decidable = self._decidable
-        for lit in self._trail[limit:]:
-            var = abs(lit)
-            self._phase[var] = self._assign[var]
-            del self._assign[var]
-            del self._level[var]
-            self._reason.pop(var, None)
-            if var in decidable:
-                heapq.heappush(order, (-self._activity.get(var, 0.0), var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        activity = self._activity
+        queued = self._queued
+        external = self._external
+        order = self._order
+        for lit in trail[limit:]:
+            var = lit >> 1
+            phase[var] = lit & 1
+            value[lit] = None
+            value[lit ^ 1] = None
+            if decidable[var] and queued[var] != activity[var]:
+                queued[var] = activity[var]
+                heapq.heappush(order, (-activity[var], external[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        if self._qhead > limit:
+            self._qhead = limit
 
     def _decide(self) -> int | None:
+        """The unassigned decidable variable of highest activity."""
         order = self._order
         activity = self._activity
-        assign = self._assign
-        best_var = None
+        queued = self._queued
+        value = self._value
         while order:
-            neg_act, var = order[0]
-            if var in assign or -neg_act != activity.get(var, 0.0):
-                heapq.heappop(order)  # assigned or stale entry
-                continue
-            heapq.heappop(order)
-            best_var = var
-            break
-        if best_var is None:
-            return None
-        phase = self._phase.get(best_var, False)
-        return best_var if phase else -best_var
+            neg_activity, _, var = heapq.heappop(order)
+            if -neg_activity != activity[var]:
+                continue  # stale entry
+            queued[var] = _NOT_QUEUED
+            if value[var << 1] is None:
+                return var
+        return None
 
     # -- main loop ---------------------------------------------------------------
 
     def _result(
         self,
         satisfiable: bool | None,
+        conflicts: int,
+        decisions: int,
         model: dict[int, bool] | None = None,
         core: list[int] | None = None,
     ) -> SatResult:
         return SatResult(
             satisfiable=satisfiable,
             model=model or {},
-            core=core or [],
-            conflicts=self.stats.conflicts,
-            decisions=self.stats.decisions,
-            propagations=self.stats.propagations,
+            core=[self._dimacs(lit) for lit in core] if core else [],
+            conflicts=conflicts,
+            decisions=decisions,
+            propagations=self._propagations,
         )
 
     def solve(
@@ -428,58 +532,49 @@ class Solver:
         reusable whatever the outcome; only a clause-database-level conflict
         (``core == []``) pins it to UNSAT permanently.
         """
-        self.stats = SatResult(satisfiable=None)
+        self._propagations = 0
         if not self._ok:
-            return self._result(False)
+            return self._result(False, 0, 0)
         self._backtrack(0)
-
-        # apply unit clauses stored since the last call; level-0
-        # assignments persist across calls, so older units are already
-        # on the trail and rescanning the whole database would make
-        # every call O(clauses)
-        for clause in self.clauses[self._unit_scan :]:
-            if len(clause) == 1:
-                if not self._enqueue(clause[0], None):
-                    self._ok = False
-                    return self._result(False)
-        self._unit_scan = len(self.clauses)
+        # units added since the last call are already on the trail at
+        # level 0; propagate them
         if self._propagate() is not None:
             self._ok = False
-            return self._result(False)
-
+            return self._result(False, 0, 0)
+        assumed = [self._code(lit) for lit in assumptions]
+        value = self._value
+        trail = self._trail
+        trail_lim = self._trail_lim
+        watches = self._watches
+        conflicts = decisions = 0
         restart_count = 0
         conflicts_until_restart = 100 * _luby(restart_count + 1)
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
-                out_of_budget = (
-                    max_conflicts is not None
-                    and self.stats.conflicts > max_conflicts
-                )
+                conflicts += 1
+                out_of_budget = max_conflicts is not None and conflicts > max_conflicts
                 if not out_of_budget and (
                     interrupt is not None
-                    and self.stats.conflicts % _INTERRUPT_GRANULARITY == 0
+                    and conflicts % _INTERRUPT_GRANULARITY == 0
                 ):
                     out_of_budget = interrupt()
                 if out_of_budget:
                     self._backtrack(0)
-                    return self._result(None)
-                if not self._trail_lim:
+                    return self._result(None, conflicts, decisions)
+                if not trail_lim:
                     self._ok = False
-                    return self._result(False)
+                    return self._result(False, conflicts, decisions)
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 self._var_inc *= 1.05
                 if len(learned) == 1:
-                    self.clauses.append(learned)  # retained across calls
-                    if not self._enqueue(learned[0], None):
-                        self._ok = False
-                        return self._result(False)
+                    self._enqueue(learned[0], None)  # at level 0, for good
                 else:
-                    ci = self._attach(learned)
-                    self._enqueue(learned[0], ci)
+                    watches[learned[0]].append(learned)  # retained across calls
+                    watches[learned[1]].append(learned)
+                    self._enqueue(learned[0], learned)
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
                     restart_count += 1
@@ -489,28 +584,30 @@ class Solver:
 
             # pick assumptions first
             decided = False
-            for lit in assumptions:
-                value = self._lit_value(lit)
-                if value is False:
+            for lit in assumed:
+                assigned = value[lit]
+                if assigned is False:
                     core = self._analyze_final(lit)
                     self._backtrack(0)
-                    return self._result(False, core=core)
-                if value is None:
-                    self._trail_lim.append(len(self._trail))
+                    return self._result(False, conflicts, decisions, core=core)
+                if assigned is None:
+                    trail_lim.append(len(trail))
                     self._enqueue(lit, None)
                     decided = True
                     break
             if decided:
                 continue
 
-            lit = self._decide()
-            if lit is None:
-                result = self._result(True, model=dict(self._assign))
+            var = self._decide()
+            if var is None:
+                external = self._external
+                model = {external[lit >> 1]: not (lit & 1) for lit in trail}
+                result = self._result(True, conflicts, decisions, model=model)
                 self._backtrack(0)
                 return result
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(lit, None)
+            decisions += 1
+            trail_lim.append(len(trail))
+            self._enqueue((var << 1) | self._phase[var], None)
 
 
 def solve_cnf(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formal.sat import Solver, _luby, solve_cnf
+from repro.formal.sat import SOLVER_VERSION, Solver, _luby, solve_cnf
 
 
 def brute_force(clauses, num_vars):
@@ -279,3 +279,209 @@ class TestIncremental:
         assert again.satisfiable is True
         # phase saving replays the previous model without any conflicts
         assert again.conflicts == 0
+
+
+# ---------------------------------------------------------------------------
+# The search trajectory, pinned
+#
+# Cached verdicts are keyed on SOLVER_VERSION, so any change that could alter
+# a verdict has to bump it.  A change that keeps the search step for step
+# need not, and these constants are what "step for step" means: for fixed
+# instances, every solve() must return the same satisfiability, conflict,
+# decision and propagation counts, the same model literals in trail order
+# and the same core.  They were recorded on the solver before it moved to
+# dense arrays.
+# ---------------------------------------------------------------------------
+
+
+def random_3sat(seed, num_vars, num_clauses):
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        lits = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([lit if rng.random() < 0.5 else -lit for lit in lits])
+    return clauses
+
+
+def trajectory(result):
+    return (
+        result.satisfiable,
+        result.conflicts,
+        result.decisions,
+        result.propagations,
+        [var if value else -var for var, value in result.model.items()],
+        result.core,
+    )
+
+
+INSTANCES = {
+    "php-5-4": lambda: pigeonhole(5, 4),
+    "php-4-4": lambda: pigeonhole(4, 4),
+    "3sat-40-0": lambda: random_3sat(0, 40, 170),
+    "3sat-40-2": lambda: random_3sat(2, 40, 170),
+    "3sat-100-1": lambda: random_3sat(1, 100, 426),
+    "3sat-120-1": lambda: random_3sat(1, 120, 511),
+}
+
+TRAJECTORIES = {
+    "php-5-4": (False, 28, 38, 337, [], []),
+    "php-4-4": (
+        True, 0, 6, 16,
+        [-1, -2, -3, 4, -8, -12, -16, -5, -6, 7, -11, -15, -9, 10, -14, 13],
+        [],
+    ),
+    "3sat-40-0": (False, 49, 54, 739, [], []),
+    "3sat-40-2": (False, 65, 71, 995, [], []),
+    "3sat-100-1": (
+        True, 18, 43, 672,
+        [-1, -2, -3, -4, -5, -63, -6, -7, -8, -9, -44, 10, -24, -47, 88, -70,
+         -86, 27, -32, 28, 17, -16, -66, 21, -48, -43, -83, -23, -15, 40, -57,
+         -41, -51, 84, -50, -29, -92, -65, 30, 74, 96, 13, 71, 87, -26, 73, 19,
+         98, 46, 20, -54, -59, -58, -81, 80, 69, 56, 100, -11, -89, -22, -75,
+         -38, -78, -97, -36, 64, 93, 99, -67, -52, -79, 76, -85, 33, 82, 72,
+         91, -12, -90, -77, 42, -94, 95, -34, -14, 68, 31, 49, -45, -18, 39,
+         55, -62, 35, -25, 37, 53, 60, -61],
+        [],
+    ),
+    "3sat-120-1": (
+        True, 445, 546, 15933,
+        [-51, -18, -77, -41, 12, 32, 120, 35, -23, -92, -108, 2, -58, 28, -45,
+         -90, 63, 75, 89, 46, -112, -54, 20, 81, -102, 29, 103, -52, 3, 73, 16,
+         -96, -101, -8, 9, -4, -70, 86, -117, 83, 94, -62, 106, -115, -15, 40,
+         -31, -21, -78, -55, 67, -104, -111, -110, -113, 53, -49, -10, -65, 56,
+         88, -42, 13, -100, -43, 22, -7, -107, 33, -95, -82, -25, -66, 38, 74,
+         37, -116, -26, -17, 93, 50, -59, 60, -5, 80, -76, -6, 19, -1, 109,
+         119, -64, 48, 14, -85, -91, -57, -98, -99, 36, 105, 84, -34, -114, 79,
+         118, 87, -44, 68, 47, 61, 71, 27, 69, 72, 97, 39, -24, 30, 11],
+        [],
+    ),
+    "php-6-5-rescale": (False, 154, 186, 2153, [], []),
+}
+
+# one trajectory per solve() of incremental_steps()
+INCREMENTAL = [
+    (
+        True, 3, 39, 109,
+        [-31, 32, -33, -1, -2, -3, -4, -5, -6, -7, -8, -9, -10, -11, -12, -13,
+         -14, -15, -16, -17, -18, -19, -20, -21, -22, -23, -24, -25, -26, -27,
+         -28, -29, -30, -34, 35, -48, 43, 60, 40, 59, -61, -56, -42, 51, 58,
+         -55, 38, 54, 53, -50, -47, 37, 49, -39, -57, -44, 36, 52, 45, 46, -41],
+        [],
+    ),
+    (None, 26, 50, 353, [], []),
+    (False, 0, 0, 1, [], [-33]),
+    (
+        True, 0, 40, 61,
+        [33, 70, -31, 45, -23, -28, 17, -25, -9, -22, -19, -24, -7, -10, 29,
+         -30, -20, -6, 8, -16, -27, -18, -26, 21, 13, -15, -14, -12, -11, 32,
+         -57, 35, 37, -48, 60, -34, 43, -61, 58, -55, 38, 49, -39, 40, 59, -56,
+         -42, 54, 53, -44, 51, -50, -47, 36, 52, 46, -1, -2, -3, -4, 5, -41],
+        [],
+    ),
+    (False, 153, 181, 2095, [], [31]),
+    (False, 0, 0, 8, [], [32, -41, -40]),
+    (
+        True, 2, 40, 84,
+        [33, -31, -12, -15, 2, -10, 13, -23, -5, -25, 20, -28, -17, -8, -30,
+         -9, -7, -22, -3, -27, 14, -11, -1, 6, -4, -29, 24, -26, -21, -19, -18,
+         -16, -32, -51, 35, 48, -59, -34, -37, 57, 53, -61, 58, 49, -56, -54,
+         46, -50, 45, 52, 38, 60, -55, -39, -47, 41, -42, 36, 43, 40, -44],
+        [],
+    ),
+]
+
+# (oid, status, method, conflicts, frames) of the toy suite, sorted by oid
+TOY_SUITE = [
+    ("consistency.scheduling", "trace-ok", "trace(200 cycles)", 0, 0),
+    ("fwd.dhaz_feeds_stall.RF.1.0", "proved", "1-induction", 1, 2),
+    ("fwd.dhaz_feeds_stall.RF.1.1", "proved", "1-induction", 1, 2),
+    ("fwd.hit_implies_full.RF.1.0.2", "proved", "1-induction", 1, 2),
+    ("fwd.hit_implies_full.RF.1.0.3", "proved", "1-induction", 1, 2),
+    ("fwd.hit_implies_full.RF.1.1.2", "proved", "1-induction", 1, 2),
+    ("fwd.hit_implies_full.RF.1.1.3", "proved", "1-induction", 1, 2),
+    ("lemma1.full_iff_diff", "proved", "1-induction", 678, 2),
+    ("lemma1.trace", "trace-ok", "trace(200 cycles)", 0, 0),
+    ("liveness.bounded", "trace-ok", "trace(200 cycles)", 0, 0),
+    ("stall.hazard_blocks_update.0", "proved", "1-induction", 0, 2),
+    ("stall.hazard_blocks_update.1", "proved", "1-induction", 0, 2),
+    ("stall.hazard_blocks_update.2", "proved", "1-induction", 0, 2),
+    ("stall.hazard_blocks_update.3", "proved", "1-induction", 0, 2),
+    ("stall.no_overwrite.1", "proved", "1-induction", 0, 2),
+    ("stall.no_overwrite.2", "proved", "1-induction", 1, 2),
+    ("stall.no_overwrite.3", "proved", "1-induction", 1, 2),
+    ("stall.no_ue_when_stalled.0", "proved", "1-induction", 0, 2),
+    ("stall.no_ue_when_stalled.1", "proved", "1-induction", 0, 2),
+    ("stall.no_ue_when_stalled.2", "proved", "1-induction", 0, 2),
+    ("stall.no_ue_when_stalled.3", "proved", "1-induction", 0, 2),
+    ("stall.propagates.0", "proved", "1-induction", 0, 2),
+    ("stall.propagates.1", "proved", "1-induction", 0, 2),
+    ("stall.propagates.2", "proved", "1-induction", 0, 2),
+    ("stall.squash_blocks_update.0", "proved", "1-induction", 0, 2),
+    ("stall.squash_blocks_update.1", "proved", "1-induction", 0, 2),
+    ("stall.squash_blocks_update.2", "proved", "1-induction", 0, 2),
+    ("stall.squash_blocks_update.3", "proved", "1-induction", 0, 2),
+    ("stall.stall_implies_full.0", "proved", "1-induction", 0, 2),
+    ("stall.stall_implies_full.1", "proved", "1-induction", 0, 2),
+    ("stall.stall_implies_full.2", "proved", "1-induction", 0, 2),
+    ("stall.stall_implies_full.3", "proved", "1-induction", 0, 2),
+    ("stall.ue_implies_full.0", "proved", "1-induction", 0, 2),
+    ("stall.ue_implies_full.1", "proved", "1-induction", 0, 2),
+    ("stall.ue_implies_full.2", "proved", "1-induction", 0, 2),
+    ("stall.ue_implies_full.3", "proved", "1-induction", 0, 2),
+]
+
+
+def incremental_steps():
+    """Assumptions, a budget abort, an assumption on a variable no clause
+    mentions, and clauses added between calls, all on one solver."""
+    solver = Solver()
+    # PHP(6, 5) guarded by activation variable 31; random 3-SAT over 32..61
+    solver.add_clauses([-31, *clause] for clause in pigeonhole(6, 5))
+    solver.add_clauses(
+        [lit + 31 if lit > 0 else lit - 31 for lit in clause]
+        for clause in random_3sat(11, 30, 120)
+    )
+    steps = [solver.solve(assumptions=[-31, 32, -33])]
+    steps.append(solver.solve(assumptions=[31], max_conflicts=25))
+    solver.add_clause([-32, 40, 41])
+    solver.add_clause([33])
+    steps.append(solver.solve(assumptions=[-31, -33, 70]))
+    steps.append(solver.solve(assumptions=[70, -31, 45]))
+    steps.append(solver.solve(assumptions=[31, 45]))
+    solver.add_clause([-31, -34])
+    steps.append(solver.solve(assumptions=[-40, -41, 32]))
+    steps.append(solver.solve())
+    return [trajectory(step) for step in steps]
+
+
+class TestTrajectory:
+    def test_solver_version(self):
+        assert SOLVER_VERSION == 2
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_one_shot(self, name):
+        assert trajectory(solve_cnf(INSTANCES[name]())) == TRAJECTORIES[name]
+
+    def test_activity_rescale(self):
+        # starting near the 1e100 rescale threshold makes the first few
+        # conflicts rescale every activity and rebuild the decision order
+        solver = Solver()
+        solver.add_clauses(pigeonhole(6, 5))
+        solver._var_inc = 1e98
+        assert trajectory(solver.solve()) == TRAJECTORIES["php-6-5-rescale"]
+
+    def test_incremental_sequence(self):
+        assert incremental_steps() == INCREMENTAL
+
+    def test_toy_suite(self, toy_pipelined):
+        from repro.jobs import discharge_jobs
+        from repro.proofs import generate_obligations
+
+        report = discharge_jobs(
+            toy_pipelined, generate_obligations(toy_pipelined), jobs=1, cache=None
+        )
+        rows = sorted(
+            (r.oid, r.status.value, r.method, r.conflicts, r.frames)
+            for r in (o.record for o in report.outcomes)
+        )
+        assert rows == TOY_SUITE
