@@ -351,7 +351,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"  {operator}")
         return 0
 
-    params = DetectParams(trace_cycles=args.cycles, lanes=args.lanes)
+    params = DetectParams(trace_cycles=args.cycles)
     progress = None if args.quiet else print
     report = run_campaign(
         cores=args.core or None,
@@ -868,12 +868,6 @@ def main(argv: list[str] | None = None) -> int:
     faults_parser.add_argument(
         "--cycles", type=int, default=None,
         help="override the per-core trace-check stimulus length",
-    )
-    faults_parser.add_argument(
-        "--lanes", type=int, default=64, metavar="N",
-        help="bit-parallel lanes for the trace stage: chunks of N-1 mutants"
-        " simulate in lockstep with the golden design (1 = per-vector;"
-        " verdicts are identical either way; default: %(default)s)",
     )
     faults_parser.add_argument(
         "--json", metavar="FILE",

@@ -129,10 +129,10 @@ class _SequentialRun:
 class SpecStateCache:
     """Lazily extended sequential-reference snapshots.
 
-    The sequential machine is mutant-independent (mutation operators
-    rewrite the *pipelined* elaboration only), so one cache serves every
-    consistency check of a campaign: the reference simulation is kept
-    alive and extended on demand instead of being re-run per mutant.
+    The reference simulation is kept alive and extended on demand, so
+    one cache serves every consistency check against one machine: the
+    fault campaign shares it among the mutants of a core, which differ
+    from each other in the *pipelined* elaboration only.
     """
 
     def __init__(
@@ -196,7 +196,6 @@ def check_data_consistency(
     inputs: InputProvider | None = None,
     seq_inputs: InputProvider | None = None,
     trace: Trace | None = None,
-    impl_states: list[SpecState] | None = None,
     spec_cache: SpecStateCache | None = None,
 ) -> ConsistencyReport:
     """The paper's data-consistency criterion via the scheduling function.
@@ -207,13 +206,12 @@ def check_data_consistency(
     visible register and register-file word in every cycle.
 
     Precomputed artifacts may be supplied instead of resimulating: a
-    ``trace`` together with per-cycle ``impl_states`` (``cycles + 1``
-    snapshots, the first taken before cycle 0; a :class:`PipelinedTrace`
-    carries its own) replaces the internal pipelined run, and a shared
-    :class:`SpecStateCache` replaces the per-call sequential run.  The
-    trace obligations share one run per machine this way, and the
-    lockstep fault campaign checks many mutants against one reference
-    simulation.
+    :class:`PipelinedTrace` of ``cycles`` cycles (it carries the
+    per-cycle snapshots) replaces the internal pipelined run, and a
+    shared :class:`SpecStateCache` replaces the per-call sequential run.
+    The trace obligations share one pipelined run per machine this way,
+    and the fault campaign checks every mutant of a core against one
+    reference simulation.
     """
     if machine.speculations:
         raise ValueError(
@@ -222,15 +220,13 @@ def check_data_consistency(
         )
     n = machine.n_stages
 
-    if impl_states is None and isinstance(trace, PipelinedTrace):
-        impl_states = trace.impl_states
-    if trace is None or impl_states is None:
+    if not isinstance(trace, PipelinedTrace) or trace.impl_states is None:
         if pipelined_module is None:
             raise ValueError(
-                "need either pipelined_module or precomputed trace+impl_states"
+                "need either pipelined_module or a precomputed PipelinedTrace"
             )
         trace = run_pipelined(machine, pipelined_module, cycles, inputs)
-        impl_states = trace.impl_states
+    impl_states = trace.impl_states
 
     schedule = compute_schedule(trace, n)
     retired = schedule.instructions_retired()
@@ -304,6 +300,17 @@ def commit_stream(
     return streams
 
 
+def repair_targets(machine: PreparedMachine) -> set[str]:
+    """The registers speculation repairs (e.g. a predicted PC): rollback
+    corrects their wrong-path writes rather than suppressing them, so
+    commit-stream comparison leaves their streams out."""
+    return {
+        target.split(".")[0]
+        for spec in machine.speculations
+        for target in spec.repairs
+    }
+
+
 def seq_commit_side(
     machine: PreparedMachine,
     seq_cycles: int,
@@ -311,9 +318,10 @@ def seq_commit_side(
     exclude: set[str] | None = None,
 ) -> tuple[dict[str, list[tuple]], int]:
     """The sequential half of a commit-stream comparison: run the
-    reference for ``seq_cycles`` and return ``(streams, retired)``.  The
-    result is mutant-independent, so campaigns compute it once per core
-    and pass it to :func:`compare_commit_streams` as ``seq_side``."""
+    reference for ``seq_cycles`` and return ``(streams, retired)``.  No
+    pipelined elaboration enters it, so the fault campaign computes it
+    once per core and passes it to :func:`compare_commit_streams` as
+    ``seq_side``."""
     run = _SequentialRun(machine, seq_inputs)
     retired = sum(run.step() for _ in range(seq_cycles))
     return commit_stream(run.sim.trace, machine, exclude=exclude), retired
@@ -342,11 +350,7 @@ def compare_commit_streams(
     ``seq_side`` (from :func:`seq_commit_side`) replaces the sequential
     one — both must cover the same cycle counts the defaults would use.
     """
-    repaired = {
-        target.split(".")[0]
-        for spec in machine.speculations
-        for target in spec.repairs
-    }
+    repaired = repair_targets(machine)
     if pipe_trace is None:
         if pipelined_module is None:
             raise ValueError(

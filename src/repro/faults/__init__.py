@@ -14,31 +14,28 @@ from .campaign import (
     CampaignReport,
     DetectParams,
     MutantResult,
+    SequentialReference,
     detect,
     detect_formal,
     detect_static,
     run_campaign,
     run_mutant,
-    run_mutants_lockstep,
 )
 from .catalog import CORES, OPERATORS, CoreSpec, Mutant, generate_mutants
-from .lockstep import LockstepTraceRung, combine_modules
 
 __all__ = [
     "CORES",
     "CampaignReport",
     "CoreSpec",
     "DetectParams",
-    "LockstepTraceRung",
     "Mutant",
     "MutantResult",
     "OPERATORS",
-    "combine_modules",
+    "SequentialReference",
     "detect",
     "detect_formal",
     "detect_static",
     "generate_mutants",
     "run_campaign",
     "run_mutant",
-    "run_mutants_lockstep",
 ]

@@ -18,7 +18,9 @@ detector first, stopping at the first kill:
    is bypassed, or a forwarding valid bit is provably forced early;
 5. **trace** — a dynamic trace obligation fails: the mutated pipeline
    diverges from the sequential reference on the core's workload, or a
-   scheduling/liveness trace check is violated;
+   scheduling/liveness trace check is violated.  Each mutant's pipeline
+   is simulated once; the sequential reference once per core
+   (:class:`SequentialReference`);
 6. **formal** — a SAT-discharged proof obligation produces a concrete
    counterexample (``Status.FAILED``; an ``unknown`` verdict does *not*
    count as detection).
@@ -37,9 +39,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..absint import rom_template_violations
-from ..core.transform import PipelinedMachine
+from ..core.consistency import SpecStateCache, repair_targets, seq_commit_side
+from ..core.transform import PipelinedMachine, transform
 from ..formal.bmc import TransitionSystem
 from ..lint import lint_pipeline, lint_semantic, lint_taint
+from ..machine.prepared import PreparedMachine
 from ..proofs.discharge import (
     Status,
     build_trace,
@@ -168,20 +172,50 @@ class CampaignReport:
 
 @dataclass(frozen=True)
 class DetectParams:
-    """Formal-stage budgets for the detection ladder.
-
-    ``lanes`` > 1 batches the trace stage: chunks of ``lanes - 1`` mutants
-    run in lockstep with the golden design in one bit-parallel simulation
-    (:mod:`repro.faults.lockstep`).  The verdicts and kill attribution
-    are identical to the per-vector ladder — ``lanes`` only trades memory
-    for wall time.
-    """
+    """Budgets for the detection ladder: the formal stage's induction
+    depth, BMC bound and conflict budget, and the trace stage's stimulus
+    length (``None``: the core's own)."""
 
     max_k: int = 2
     bmc_bound: int = 8
     max_conflicts: int | None = 50_000
-    trace_cycles: int | None = None  # None: the core's default
-    lanes: int = 1  # >1: bit-parallel lockstep trace stage
+    trace_cycles: int | None = None
+
+
+class SequentialReference:
+    """The sequential side of the trace obligations, simulated once for
+    every design built on one machine.
+
+    Mutation operators rewrite the pipelined elaboration only and keep
+    its ``machine`` object (``dataclasses.replace``), and the sequential
+    reference is elaborated from that machine alone.  So the reference
+    run is the same for the baseline and every mutant of a core: its
+    state snapshots (:class:`repro.core.SpecStateCache`, for data
+    consistency) and its commit streams (:func:`repro.core.seq_commit_side`)
+    are computed once, on first use, and handed to every trace check.
+    """
+
+    def __init__(self, machine: PreparedMachine, trace_cycles: int) -> None:
+        self.machine = machine
+        self.trace_cycles = trace_cycles
+        self._spec_cache = SpecStateCache(machine)
+        self._seq_side: tuple[dict[str, list[tuple]], int] | None = None
+
+    def arguments(self, checker: str) -> dict:
+        """The :func:`repro.proofs.discharge.discharge_trace` arguments
+        that hand this reference to one trace checker."""
+        if checker == "consistency":
+            return {"spec_cache": self._spec_cache}
+        if checker == "commit_streams":
+            if self._seq_side is None:
+                machine = self.machine
+                self._seq_side = seq_commit_side(
+                    machine,
+                    self.trace_cycles * machine.n_stages,
+                    exclude=repair_targets(machine),
+                )
+            return {"seq_side": self._seq_side}
+        return {}
 
 
 def detect_static(pipelined: PipelinedMachine) -> tuple[str, str]:
@@ -236,19 +270,34 @@ def detect(
     pipelined: PipelinedMachine,
     trace_cycles: int,
     params: DetectParams = DetectParams(),
+    reference: SequentialReference | None = None,
 ) -> tuple[str, str]:
     """Run the detection ladder; return ``(detector, detail)`` —
-    ``("", "")`` when every checker accepts the design."""
+    ``("", "")`` when every checker accepts the design.
+
+    The trace rung checks against ``reference`` only when it was built
+    for this design's very ``machine`` object and trace length; any
+    other design gets a fresh sequential reference."""
     detector, detail = detect_static(pipelined)
     if detector:
         return detector, detail
 
+    if (
+        reference is None
+        or reference.machine is not pipelined.machine
+        or reference.trace_cycles != trace_cycles
+    ):
+        reference = SequentialReference(pipelined.machine, trace_cycles)
     obligations = generate_obligations(pipelined)
     trace_obs = obligations.trace_checks()
     trace = build_trace(pipelined, trace_cycles) if trace_obs else None
     for obligation in trace_obs:
         record = discharge_trace(
-            pipelined, obligation, trace=trace, trace_cycles=trace_cycles
+            pipelined,
+            obligation,
+            trace=trace,
+            trace_cycles=trace_cycles,
+            **reference.arguments(obligation.checker),
         )
         if record.status is Status.FAILED:
             return "trace", f"{obligation.oid}: {record.detail}"
@@ -257,9 +306,13 @@ def detect(
 
 
 def run_mutant(
-    mutant: Mutant, trace_cycles: int, params: DetectParams = DetectParams()
+    mutant: Mutant,
+    trace_cycles: int,
+    params: DetectParams = DetectParams(),
+    reference: SequentialReference | None = None,
 ) -> MutantResult:
-    """Build one mutant and push it down the detection ladder."""
+    """Build one mutant and push it down the detection ladder (see
+    :func:`detect` for when ``reference`` is used)."""
     start = time.perf_counter()
     try:
         mutated = mutant.build()
@@ -274,7 +327,7 @@ def run_mutant(
             detail=f"{type(error).__name__}: {error}",
             seconds=time.perf_counter() - start,
         )
-    detector, detail = detect(mutated, trace_cycles, params)
+    detector, detail = detect(mutated, trace_cycles, params, reference)
     return MutantResult(
         mid=mutant.mid,
         core=mutant.core,
@@ -285,82 +338,6 @@ def run_mutant(
         detail=detail,
         seconds=time.perf_counter() - start,
     )
-
-
-def run_mutants_lockstep(
-    baseline: PipelinedMachine,
-    mutants: list[Mutant],
-    trace_cycles: int,
-    params: DetectParams,
-) -> list[MutantResult]:
-    """The staged lockstep campaign over one core's mutants: build and
-    static rungs per mutant as usual, then the trace rung batched in
-    chunks of ``params.lanes - 1`` mutants against the golden design,
-    then the formal rung per trace-clean mutant.
-
-    The staging reorders *work*, not verdicts: every mutant still walks
-    build → lint → absint → taint → trace → formal and stops at the
-    first kill,
-    so results (detector and detail included) match :func:`run_mutant`.
-    """
-    from .lockstep import LockstepTraceRung
-
-    results: dict[int, MutantResult] = {}
-    candidates: list[tuple[int, Mutant, PipelinedMachine, float]] = []
-    for index, mutant in enumerate(mutants):
-        start = time.perf_counter()
-        try:
-            mutated = mutant.build()
-        except Exception as error:
-            results[index] = MutantResult(
-                mid=mutant.mid,
-                core=mutant.core,
-                operator=mutant.operator,
-                site=mutant.site,
-                detected=True,
-                detector="build",
-                detail=f"{type(error).__name__}: {error}",
-                seconds=time.perf_counter() - start,
-            )
-            continue
-        detector, detail = detect_static(mutated)
-        elapsed = time.perf_counter() - start
-        if detector:
-            results[index] = MutantResult(
-                mid=mutant.mid,
-                core=mutant.core,
-                operator=mutant.operator,
-                site=mutant.site,
-                detected=True,
-                detector=detector,
-                detail=detail,
-                seconds=elapsed,
-            )
-            continue
-        candidates.append((index, mutant, mutated, elapsed))
-
-    rung = LockstepTraceRung(baseline, trace_cycles, params.lanes)
-    verdicts = rung.check([mutated for _, _, mutated, _ in candidates])
-    for (index, mutant, mutated, static_seconds), verdict in zip(
-        candidates, verdicts
-    ):
-        detector, detail, obligations, trace_seconds = verdict
-        seconds = static_seconds + trace_seconds
-        if not detector:
-            start = time.perf_counter()
-            detector, detail = detect_formal(mutated, obligations, params)
-            seconds += time.perf_counter() - start
-        results[index] = MutantResult(
-            mid=mutant.mid,
-            core=mutant.core,
-            operator=mutant.operator,
-            site=mutant.site,
-            detected=bool(detector),
-            detector=detector,
-            detail=detail,
-            seconds=seconds,
-        )
-    return [results[index] for index in range(len(mutants))]
 
 
 def run_campaign(
@@ -389,10 +366,12 @@ def run_campaign(
             if params.trace_cycles is not None
             else spec.trace_cycles
         )
-        from ..core.transform import transform
-
-        baseline = transform(spec.build_machine())
-        detector, detail = detect(baseline, cycles, params)
+        # the baseline and every mutant share one machine object, and so
+        # one sequential reference
+        machine = spec.build_machine()
+        reference = SequentialReference(machine, cycles)
+        baseline = transform(machine)
+        detector, detail = detect(baseline, cycles, params, reference)
         clean = detector == ""
         report.baseline_clean[name] = clean
         note(
@@ -401,21 +380,17 @@ def run_campaign(
         if not clean:
             continue  # kills against a noisy checker prove nothing
 
-        mutants = generate_mutants(spec, selected, max_per_operator)
+        mutants = generate_mutants(
+            spec, selected, max_per_operator, machine=machine
+        )
         note(f"[{name}] {len(mutants)} mutants across {len(selected)} operators")
-        def finish(result: MutantResult) -> None:
+        for mutant in mutants:
+            result = run_mutant(mutant, cycles, params, reference)
             report.results.append(result)
             verdict = (
                 f"killed by {result.detector}" if result.detected else "SURVIVED"
             )
             note(f"[{name}] {result.mid}: {verdict} ({result.seconds:.2f}s)")
-
-        if params.lanes > 1:
-            for result in run_mutants_lockstep(baseline, mutants, cycles, params):
-                finish(result)
-        else:
-            for mutant in mutants:
-                finish(run_mutant(mutant, cycles, params))
 
     report.wall_seconds = time.perf_counter() - start
     return report

@@ -678,19 +678,24 @@ def generate_mutants(
     core: CoreSpec | str,
     operators: Iterator[str] | list[str] | None = None,
     max_per_operator: int | None = None,
+    machine: PreparedMachine | None = None,
 ) -> list[Mutant]:
     """Enumerate the full fault catalog for one core.
 
     ``operators`` restricts to a subset of operator names;
     ``max_per_operator`` caps the sites taken per operator (first-N in
-    deterministic enumeration order) for quick smoke runs.
+    deterministic enumeration order) for quick smoke runs.  The mutants
+    are built on ``machine`` (default: a fresh ``build_machine()`` of
+    the core); every mutant's ``machine`` is that object.
     """
     spec = CORES[core] if isinstance(core, str) else core
     selected = list(operators) if operators is not None else list(OPERATORS)
     unknown = [name for name in selected if name not in OPERATORS]
     if unknown:
         raise ValueError(f"unknown mutation operator(s): {unknown}")
-    baseline = transform(spec.build_machine())
+    if machine is None:
+        machine = spec.build_machine()
+    baseline = transform(machine)
     mutants: list[Mutant] = []
     for name in selected:
         sites = list(_NETLIST_ENUMERATORS[name](spec.name, baseline))

@@ -9,7 +9,6 @@ engines (:mod:`repro.formal`) interpret them.
 
 from . import expr
 from .analyze import CircuitStats, analyze, analyze_module, count_ops, storage_bits
-from .batchsim import DEFAULT_LANES, BatchLane, BatchSimulator, BatchTrace
 from .compile import CompiledSimulator, compile_module
 from .bitvec import BitVector, bit_length_for, bv, from_signed, mask, to_signed
 from .netlist import Memory, Module, ModuleState, NetlistError, Register, WritePort
@@ -17,13 +16,9 @@ from .sim import Evaluator, SimulationError, Simulator, Trace, evaluate, simulat
 from .subst import substitute
 
 __all__ = [
-    "BatchLane",
-    "BatchSimulator",
-    "BatchTrace",
     "BitVector",
     "CompiledSimulator",
     "CircuitStats",
-    "DEFAULT_LANES",
     "Evaluator",
     "Memory",
     "Module",

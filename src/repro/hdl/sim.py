@@ -151,10 +151,9 @@ class Trace:
 class Simulator:
     """Stateful cycle simulator for a module: the reference semantics.
 
-    The discharge path runs on :class:`repro.hdl.compile.CompiledSimulator`
-    and the fault campaign's lockstep rung on
-    :class:`repro.hdl.batchsim.BatchSimulator`; the differential suites
-    hold both to this interpreter.
+    The discharge path and the fault campaign run on
+    :class:`repro.hdl.compile.CompiledSimulator`; the differential suites
+    hold it to this interpreter.
     """
 
     def __init__(self, module: Module, state: ModuleState | None = None) -> None:

@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from ..core.consistency import (
     PipelinedTrace,
+    SpecStateCache,
     check_data_consistency,
     check_liveness,
     compare_commit_streams,
@@ -256,9 +257,8 @@ def discharge_trace(
     liveness_bound: int | None = None,
     inputs: InputProvider | None = None,
     seq_inputs: InputProvider | None = None,
-    impl_states: list | None = None,
-    spec_cache=None,
-    seq_side=None,
+    spec_cache: SpecStateCache | None = None,
+    seq_side: tuple[dict[str, list[tuple]], int] | None = None,
 ) -> DischargeRecord:
     """Discharge one trace obligation by running its dynamic checker.
 
@@ -268,14 +268,11 @@ def discharge_trace(
     per-cycle snapshots with it, so every checker reads that one run and
     only the sequential reference is simulated here.
 
-    The remaining artifact arguments let a caller that already simulated
-    the machine some other way (e.g. the lockstep fault campaign, which
-    extracts lane views from one batch run) discharge without any
-    resimulation: ``impl_states`` are the per-cycle visible-state
-    snapshots consumed by the consistency checker (paired with
-    ``trace``), ``spec_cache`` is a shared
-    :class:`repro.core.SpecStateCache`, and ``seq_side`` is a
-    precomputed :func:`repro.core.seq_commit_side` result.
+    ``spec_cache`` (a :class:`repro.core.SpecStateCache`) and
+    ``seq_side`` (a :func:`repro.core.seq_commit_side` result) hand in
+    that sequential reference instead: the fault campaign simulates it
+    once per core and shares it among the mutants built on the core's
+    machine.
     """
     assert obligation.kind is ObligationKind.TRACE
     start = time.perf_counter()
@@ -294,7 +291,6 @@ def discharge_trace(
             inputs=inputs,
             seq_inputs=seq_inputs,
             trace=trace,
-            impl_states=impl_states,
             spec_cache=spec_cache,
         )
         ok, detail = consistency.ok, "; ".join(consistency.violations[:3])

@@ -19,7 +19,6 @@ from repro.faults import (
     CORES,
     OPERATORS,
     DetectParams,
-    combine_modules,
     detect,
     generate_mutants,
     run_campaign,
@@ -229,134 +228,108 @@ def test_dlx_spec_campaign_no_survivors():
 
 
 # ---------------------------------------------------------------------------
-# lockstep (bit-parallel) trace rung
+# the shared sequential reference
 
 
-def _campaign_verdicts(report):
-    return [(r.mid, r.detector, r.detail) for r in report.results]
+def _verdicts(results):
+    return [(r.mid, r.detector, r.detail) for r in results]
 
 
-def test_combine_modules_lane_parity(toy_baseline, toy_spec):
-    """Every lane of the combined module simulates exactly the module it
-    selects: lane 0 the golden design, lane k mutant k."""
-    from repro.hdl.batchsim import BatchSimulator
-    from repro.hdl.sim import Simulator
+def _fresh_reference_verdicts(cores):
+    """The per-mutant ladder with no reference shared: each mutant
+    builds on its own machine and simulates its own sequential run."""
+    results = []
+    for core in cores:
+        spec = CORES[core]
+        for mutant in generate_mutants(spec):
+            results.append(run_mutant(mutant, spec.trace_cycles))
+    return results
 
-    mutants = []
-    for mutant in generate_mutants(toy_spec):
-        try:
-            mutants.append(mutant.build())
-        except Exception:
-            continue
-        if len(mutants) == 6:
-            break
-    combined, lane_states = combine_modules(
-        toy_baseline.module, [m.module for m in mutants]
+
+def test_campaign_matches_fresh_references_toy():
+    """Sharing one sequential reference per core must not change a
+    single verdict: same kills, same detectors, same detail strings as
+    mutants that each simulate their own reference."""
+    report = run_campaign(cores=["toy"])
+    assert report.baseline_clean == {"toy": True}
+    assert _verdicts(report.results) == _verdicts(
+        _fresh_reference_verdicts(["toy"])
     )
-    lanes = len(mutants) + 1
-    batch = BatchSimulator(combined, lanes=lanes, lane_states=lane_states)
-    # a fresh transform as the lane-0 reference: the fixture module may
-    # carry proof instrumentation, which the combination leaves out
-    golden = transform(toy_spec.build_machine())
-    references = [Simulator(golden.module)] + [
-        Simulator(m.module) for m in mutants
+
+
+def test_reference_shared_only_with_its_machine(toy_spec, monkeypatch):
+    """`detect` hands the campaign's reference to a trace check only for
+    a design built on the very machine object it was simulated from, at
+    its trace length; every mutant the catalog builds on that machine
+    qualifies."""
+    from repro.faults import campaign
+
+    used: list = []
+    arguments = campaign.SequentialReference.arguments
+
+    def spy(self, checker):
+        used.append(self)
+        return arguments(self, checker)
+
+    monkeypatch.setattr(campaign.SequentialReference, "arguments", spy)
+    monkeypatch.setattr(campaign, "detect_formal", lambda *args: ("", ""))
+    machine = toy_spec.build_machine()
+    cycles = toy_spec.trace_cycles
+    reference = campaign.SequentialReference(machine, cycles)
+    cases = [
+        (transform(machine), cycles, True),
+        (transform(toy_spec.build_machine()), cycles, False),  # an equal copy
+        (transform(machine), cycles // 2, False),
     ]
-    sel = list(range(lanes))
-    for cycle in range(40):
-        packed = batch.step({"__mutsel__": sel})
-        for lane, reference in enumerate(references):
-            expected = reference.step({})
-            for name, value in expected.items():
-                assert batch.slot(packed[name], lane) == value, (
-                    f"lane {lane} cycle {cycle} probe {name}"
-                )
-    for lane, reference in enumerate(references):
-        view = batch.lane(lane)
-        assert view.state.registers == reference.state.registers
-        assert view.state.memories == reference.state.memories
+    for pipelined, trace_cycles, shared in cases:
+        used.clear()
+        assert detect(pipelined, trace_cycles, reference=reference) == ("", "")
+        assert used
+        assert all((r is reference) is shared for r in used)
 
-
-def test_combine_modules_rejects_mutsel_collision(toy_baseline):
-    from repro.faults.lockstep import MUTSEL, LockstepIncompatible
-
-    module = toy_baseline.module
-    clashing = type(module)(module.name)
-    clashing.add_input(MUTSEL, 1)
-    with pytest.raises(LockstepIncompatible):
-        combine_modules(clashing, [clashing])
-
-
-def test_lockstep_campaign_matches_per_vector_toy():
-    """The batched trace rung must not change a single verdict: same
-    kills, same detector attribution, same detail strings."""
-    per_vector = run_campaign(cores=["toy"], params=DetectParams(lanes=1))
-    lockstep = run_campaign(cores=["toy"], params=DetectParams(lanes=64))
-    assert lockstep.baseline_clean == {"toy": True}
-    assert _campaign_verdicts(lockstep) == _campaign_verdicts(per_vector)
-    assert lockstep.survivors == [], lockstep.format_text()
-
-
-def test_lockstep_campaign_chunks_smaller_than_catalog():
-    """lanes smaller than the mutant count exercises the chunked path
-    (several lockstep runs per core) without changing verdicts."""
-    operators = ["invert-we", "stuck-full", "weaken-dhaz", "drop-hit"]
-    per_vector = run_campaign(cores=["toy"], operators=operators)
-    lockstep = run_campaign(
-        cores=["toy"], operators=operators, params=DetectParams(lanes=4)
-    )
-    assert _campaign_verdicts(lockstep) == _campaign_verdicts(per_vector)
-    assert lockstep.ok
-
-
-def test_faults_cli_lanes_knob(tmp_path, capsys, monkeypatch):
-    """`repro faults --lanes` reaches DetectParams, and the flag's own
-    default is 64 lanes (lane count is semantics-preserving, so it is no
-    engine parameter and never enters a proof fingerprint)."""
-    import repro.faults as faults_pkg
-    from repro.cli import main as cli_main
-
-    lanes: list[int] = []
-    original = faults_pkg.run_campaign
-
-    def spy(**kwargs):
-        lanes.append(kwargs["params"].lanes)
-        return original(**kwargs)
-
-    monkeypatch.setattr(faults_pkg, "run_campaign", spy)
-    out = tmp_path / "faults.json"
-    for extra in ([], ["--lanes", "4"]):
-        code = cli_main(
-            [
-                "faults",
-                "--core",
-                "toy",
-                "--operator",
-                "invert-we",
-                *extra,
-                "--quiet",
-                "--json",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["ok"] is True and payload["mutants"] >= 1
-    assert lanes == [64, 4]
+    mutants = generate_mutants(toy_spec, machine=machine)
+    assert all(mutant.build().machine is machine for mutant in mutants)
 
 
 @pytest.mark.slow
-def test_lockstep_campaign_full_equivalence():
-    """Acceptance: toy + dlx-small through the batched rung — the full
-    118-mutant catalog, kill set identical to per-vector, 0 survivors."""
+def test_campaign_matches_fresh_references():
+    """Acceptance: toy + dlx-small, the full 118-mutant catalog, kill
+    set and detail strings identical to fresh references, 0 survivors."""
     cores = ["toy", "dlx-small"]
-    per_vector = run_campaign(cores=cores, params=DetectParams(lanes=1))
-    lockstep = run_campaign(cores=cores, params=DetectParams(lanes=64))
-    assert lockstep.baseline_clean == {"toy": True, "dlx-small": True}
-    assert _campaign_verdicts(lockstep) == _campaign_verdicts(per_vector)
-    assert len(lockstep.results) == 118
-    assert lockstep.killed == 118
-    assert lockstep.survivors == [], lockstep.format_text()
+    report = run_campaign(cores=cores)
+    assert report.baseline_clean == {"toy": True, "dlx-small": True}
+    assert _verdicts(report.results) == _verdicts(
+        _fresh_reference_verdicts(cores)
+    )
+    assert len(report.results) == 118
+    assert report.killed == 118
+    assert report.survivors == [], report.format_text()
+
+
+def test_faults_cli_writes_ok_report(tmp_path, capsys):
+    """`repro faults` runs a narrowed campaign and writes its JSON report."""
+    from repro.cli import main as cli_main
+
+    out = tmp_path / "faults.json"
+    code = cli_main(
+        [
+            "faults",
+            "--core",
+            "toy",
+            "--operator",
+            "invert-we",
+            "--quiet",
+            "--json",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert "0 surviving" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is True
+    assert payload["mutants"] >= 1
+    assert payload["killed"] == payload["mutants"]
+    assert payload["baseline_clean"] == {"toy": True}
 
 
 def test_detect_params_tighten_budget(toy_baseline, toy_spec):

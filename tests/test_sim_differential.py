@@ -9,7 +9,10 @@ state after every cycle.  Any divergence pinpoints the first bad cycle and
 the generating seed, so failures replay deterministically.
 
 A small seed set runs in the default suite; the broad sweep is marked
-``slow`` (CI runs it in its own job, ``pytest -m slow``).
+``slow`` (CI runs it in its own job, ``pytest -m slow``).  Edge cases the
+generator is unlikely to reach get hand-built modules: nets of 64 and 70
+bits (the generator stays at or below 32), and two write ports colliding
+on one address.
 """
 
 from __future__ import annotations
@@ -19,12 +22,18 @@ import random
 import pytest
 
 from repro.hdl import expr as E
-from repro.hdl.batchsim import BatchSimulator
 from repro.hdl.compile import CompiledSimulator
 from repro.hdl.netlist import Module
 from repro.hdl.sim import SimulationError, Simulator
 
 _WIDTHS = [1, 3, 4, 8, 16]
+
+# Found by sweeping the generator for maximal tricky-op coverage: this
+# module combines variable-amount MUL/ASHR/SHL, signed compares,
+# REDXOR/REDAND folds, memory reads and a data-dependent write enable —
+# exactly the mix that would look "flaky" under a moving seed.  Pinned
+# so the case never rotates out of the suite.
+PINNED_SEED = 462
 
 
 def _fit(value: E.Expr, width: int) -> E.Expr:
@@ -97,22 +106,28 @@ def random_module(seed: int, n_ops: int = 40) -> Module:
     return module
 
 
+def assert_same_run(module: Module, stimuli, context: str) -> None:
+    """Step the interpreter and the compiled simulator through the same
+    stimuli: probes and register/memory state must match every cycle."""
+    interpreted = Simulator(module)
+    compiled = CompiledSimulator(module)
+    for cycle, stimulus in enumerate(stimuli):
+        probes_i = interpreted.step(stimulus)
+        probes_c = compiled.step(stimulus)
+        where = f"{context} cycle={cycle}"
+        assert probes_i == probes_c, where
+        assert interpreted.state.registers == compiled.state.registers, where
+        assert interpreted.state.memories == compiled.state.memories, where
+
+
 def run_differential(seed: int, cycles: int = 50) -> None:
     module = random_module(seed)
     rng = random.Random(seed ^ 0x5EED)
-    interpreted = Simulator(module)
-    compiled = CompiledSimulator(module)
-    for cycle in range(cycles):
-        stimulus = {
-            name: rng.randrange(1 << width)
-            for name, width in module.inputs.items()
-        }
-        probes_i = interpreted.step(stimulus)
-        probes_c = compiled.step(stimulus)
-        context = f"seed={seed} cycle={cycle}"
-        assert probes_i == probes_c, context
-        assert interpreted.state.registers == compiled.state.registers, context
-        assert interpreted.state.memories == compiled.state.memories, context
+    stimuli = (
+        {name: rng.randrange(1 << width) for name, width in module.inputs.items()}
+        for _ in range(cycles)
+    )
+    assert_same_run(module, stimuli, f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -126,6 +141,87 @@ def test_differential_sweep(seed, fuzz_seed_base):
     run_differential(seed + fuzz_seed_base, cycles=100)
 
 
+def test_pinned_random_module():
+    """Deterministic replay of the trickiest generated module (see
+    PINNED_SEED) — deliberately *not* offset by the fuzz seed base."""
+    run_differential(PINNED_SEED, cycles=60)
+
+
+def _wide_module(width: int) -> Module:
+    module = Module(f"wide{width}")
+    a = module.add_input("a", width)
+    b = module.add_input("b", width)
+    amount = module.add_input("amount", 8)
+    module.add_probe("add", E.add(a, b))
+    module.add_probe("sub", E.sub(a, b))
+    module.add_probe("mul", E.mul(a, b))
+    module.add_probe("neg", E.neg(a))
+    module.add_probe("slt", E.slt(a, b))
+    module.add_probe("sle", E.sle(a, b))
+    module.add_probe("ult", E.ult(a, b))
+    module.add_probe("shl", E.shl(a, amount))
+    module.add_probe("lshr", E.lshr(a, amount))
+    module.add_probe("ashr", E.ashr(a, amount))
+    module.add_probe("redxor", E.redxor(a))
+    module.add_probe("redand", E.redand(a))
+    acc = module.add_register("acc", width, init=0)
+    module.drive_register("acc", E.add(acc, a), enable=E.const(1, 1))
+    module.validate()
+    return module
+
+
+@pytest.mark.parametrize("width", [64, 70])
+def test_wide_arithmetic(width, fuzz_seed_base):
+    """Nets of a machine word and wider: all-ones + 1 style operands
+    maximise carry and borrow chains, signed compares see both signs,
+    and shift amounts run past the width."""
+    module = _wide_module(width)
+    full = (1 << width) - 1
+    specials = [0, 1, full, full - 1, 1 << (width - 1), (1 << (width - 1)) - 1]
+    rng = random.Random(2024 + fuzz_seed_base)
+
+    def operand() -> int:
+        return rng.choice(specials) if rng.random() < 0.5 else rng.getrandbits(width)
+
+    stimuli = (
+        {"a": operand(), "b": operand(), "amount": rng.randrange(256)}
+        for _ in range(80)
+    )
+    assert_same_run(module, stimuli, f"width={width}")
+
+
+def test_two_write_port_collision():
+    """Two write ports hitting the same address in one cycle: the later
+    port wins, and a disabled port leaves the word alone."""
+    module = Module("wconf")
+    we0 = module.add_input("we0", 1)
+    we1 = module.add_input("we1", 1)
+    addr0 = module.add_input("addr0", 3)
+    addr1 = module.add_input("addr1", 3)
+    data0 = module.add_input("data0", 8)
+    data1 = module.add_input("data1", 8)
+    memory = module.add_memory("m", 3, 8, init={0: 17})
+    memory.add_write_port(we0, addr0, data0)
+    memory.add_write_port(we1, addr1, data1)
+    module.add_probe("read0", E.mem_read("m", addr0, 8))
+    module.validate()
+
+    rng = random.Random(99)
+    stimuli = (
+        {
+            "we0": rng.randrange(2),
+            "we1": rng.randrange(2),
+            # the two ports' addresses collide often
+            "addr0": rng.choice([0, 1, 1, 2]),
+            "addr1": rng.choice([0, 1, 1, 2]),
+            "data0": rng.randrange(256),
+            "data1": rng.randrange(256),
+        }
+        for _ in range(40)
+    )
+    assert_same_run(module, stimuli, "two write ports")
+
+
 def _unread_input_module() -> Module:
     """A counter with a declared 2-bit input that no expression reads."""
     module = Module("unread")
@@ -137,12 +233,10 @@ def _unread_input_module() -> Module:
 
 
 @pytest.mark.parametrize(
-    "make",
-    [Simulator, CompiledSimulator, lambda module: BatchSimulator(module, lanes=1)],
-    ids=["interpreter", "compiled", "batch-1"],
+    "make", [Simulator, CompiledSimulator], ids=["interpreter", "compiled"]
 )
 def test_unread_input_out_of_range_rejected(make):
-    """Every simulator checks each declared input before stepping, read
+    """Both simulators check each declared input before stepping, read
     or not, so they accept exactly the same stimuli."""
     sim = make(_unread_input_module())
     with pytest.raises(SimulationError, match="value 7 does not fit in 2 bits"):
