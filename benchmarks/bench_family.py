@@ -35,7 +35,6 @@ seconds) and relaxes the gate to 1.3x.
 import os
 import tempfile
 import time
-from dataclasses import replace
 
 from _report import report_json
 from repro.analysis.family import FAMILIES, FamilyContext, analyze_family
@@ -67,7 +66,6 @@ def _sweep(spec, params, analysis, certified_oids, family_cache):
         full = generate_obligations(pipelined)
         instances.append((width, pipelined, full, _subset(full, certified_oids)))
 
-    params_off = replace(params, family=False)
     out: dict[str, dict] = {"group": {}, "full": {}}
     for scope in ("group", "full"):
         walls_off = {}
@@ -75,7 +73,7 @@ def _sweep(spec, params, analysis, certified_oids, family_cache):
             obligations = group_set if scope == "group" else full
             start = time.perf_counter()
             report = discharge_jobs(
-                pipelined, obligations, params=params_off, cache=None
+                pipelined, obligations, params=params, cache=None
             )
             walls_off[width] = time.perf_counter() - start
             assert not report.failed, f"{spec.name}@{width} {scope} off failed"

@@ -1,6 +1,6 @@
 """E10 — fault-injection campaign (repro.faults): mutation coverage.
 
-The verifier stack (lint, trace checkers, SAT/BDD discharge) is this
+The verifier stack (lint, trace checkers, SAT discharge) is this
 project's trusted computing base; the mutation campaign is its acceptance
 test.  This bench records the coverage numbers and the cost of earning
 them: every systematically injected pipeline defect (stuck nets, inverted

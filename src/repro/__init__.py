@@ -11,8 +11,8 @@ Top-level layout:
 
 * :mod:`repro.hdl` — bit-vectors, expression IR, netlists, simulator,
   structural cost/delay analysis.
-* :mod:`repro.formal` — CDCL SAT solver, AIG bit-blaster, BDDs, bounded
-  model checking and k-induction.
+* :mod:`repro.formal` — CDCL SAT solver, AIG bit-blaster, bounded model
+  checking and k-induction.
 * :mod:`repro.machine` — the prepared sequential machine model and its
   elaboration to a round-robin sequential netlist.
 * :mod:`repro.core` — the transformation itself: stall engine, forwarding,

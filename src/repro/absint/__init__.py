@@ -32,7 +32,6 @@ from .domain import (
 from .fixpoint import FixpointResult, analyze, shared_fixpoint
 from .mine import (
     MinedInvariant,
-    MiningParams,
     MiningResult,
     inject_invariants,
     mine_invariants,
@@ -46,7 +45,6 @@ __all__ = [
     "FixpointResult",
     "InvariantCache",
     "MinedInvariant",
-    "MiningParams",
     "MiningResult",
     "Ternary",
     "UNKNOWN",

@@ -1,11 +1,12 @@
 """Persistent cache of SAT-proven mined invariants.
 
-Mining is pure in the module and the mining parameters, so a proven set
-can be reused across runs under the same content-addressed discipline
-as the discharge cache: the key hashes the *whole module* fingerprint
-(an invariant can mention any register), the mining parameters, and the
-solver/engine/absint versions, so any change that could alter the proven
-set changes the key.
+Mining is pure in the module and the trace-filter length, so a proven
+set can be reused across runs under the same content-addressed
+discipline as the discharge cache: the key hashes the *whole module*
+fingerprint (an invariant can mention any register), ``trace_cycles``,
+and the solver/engine/absint versions.  The other mining and fixpoint
+knobs are constants covered by ``ABSINT_VERSION``, so any change that
+could alter the proven set changes the key.
 
 Records are the ``absint`` namespace of the shared record store
 (:mod:`repro.store`), next to the discharge records: sealed, written
@@ -17,7 +18,6 @@ and one found on disk is rejected and evicted.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from typing import TYPE_CHECKING
 
@@ -29,12 +29,14 @@ from ..store import Store
 from .domain import ABSINT_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .mine import MiningParams, MiningResult
+    from .mine import MiningResult
 
 # 2: keys embed the Merkle module fingerprint (repro.proofs.fingerprint),
 # so every version-1 record is unreachable; the bump lets the store evict
 # them as version skew instead of leaving them on disk
-CACHE_VERSION = 2
+# 3: keys hash trace_cycles alone, not the whole set of mining knobs, so
+# every version-2 record is unreachable for the same reason
+CACHE_VERSION = 3
 
 
 class InvariantCache(Store):
@@ -43,13 +45,12 @@ class InvariantCache(Store):
     namespace = "absint"
     version = CACHE_VERSION
 
-    def key_for(self, module: Module, params: "MiningParams") -> str:
+    def key_for(self, module: Module, trace_cycles: int) -> str:
         lines = [
             f"versions:solver={SOLVER_VERSION},engine={ENGINE_VERSION}"
             f",absint={ABSINT_VERSION}",
             f"module:{fingerprint_module(module)}",
-            "params:"
-            + json.dumps(params.invariant_params(), sort_keys=True),
+            f"trace_cycles:{trace_cycles}",
         ]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -16,7 +16,7 @@ sufficiently-narrow abstract address are refined by case-splitting on
 the concrete addresses.
 
 Widening (interval bounds jump to the extremes once they keep moving)
-plus the finite known-bits lattice force termination; ``max_iterations``
+plus the finite known-bits lattice force termination; ``MAX_ITERATIONS``
 is a pure backstop that blows still-changing entries to ⊤, which is
 always sound.
 """
@@ -30,6 +30,12 @@ from ..hdl import expr as E
 from ..hdl.bitvec import mask
 from ..hdl.netlist import Module
 from .domain import AbsValue, abs_transfer
+
+# The analysis knobs.  A fixpoint feeds the mined invariants the absint
+# cache stores, so changing any of these means bumping ABSINT_VERSION.
+WIDEN_AFTER = 3  # plain joins before interval widening sets in
+MAX_ITERATIONS = 50  # backstop: still-moving entries go to top
+ROM_CASE_LIMIT = 64  # most concrete addresses a ROM read case-splits over
 
 
 def _concrete_values(value: AbsValue, limit: int) -> list[int] | None:
@@ -78,7 +84,6 @@ def _environments(
     mem_summary: dict[str, AbsValue],
     rom: dict[str, bool],
     values: dict[int, AbsValue],
-    rom_case_limit: int,
 ):
     """The register/memory environments of one abstract evaluation,
     closed over a (possibly still-moving) abstract state."""
@@ -96,7 +101,7 @@ def _environments(
         summary = mem_summary[memory.name]
         if rom[memory.name]:
             # case-split a narrow abstract address over the concrete words
-            addrs = _concrete_values(values[id(node.addr)], rom_case_limit)
+            addrs = _concrete_values(values[id(node.addr)], ROM_CASE_LIMIT)
             if addrs is not None and addrs:
                 out: AbsValue | None = None
                 for a in addrs:
@@ -133,7 +138,6 @@ class FixpointResult:
     values: dict[int, AbsValue]
     iterations: int
     widened: bool
-    rom_case_limit: int = 64
     # nodes evaluated through eval(): keeps their ids (the memo keys)
     # from being recycled by the allocator while this result is alive
     _pinned: list = field(default_factory=list, repr=False)
@@ -153,12 +157,7 @@ class FixpointResult:
             for name, memory in self.module.memories.items()
         }
         reg_env, mem_env = _environments(
-            self.module,
-            self.registers,
-            self.memories,
-            rom,
-            self.values,
-            self.rom_case_limit,
+            self.module, self.registers, self.memories, rom, self.values
         )
         values = self.values
         for node in E.walk([expression]):
@@ -174,54 +173,32 @@ class FixpointResult:
         return values[id(expression)]
 
 
-# one fixpoint per (module, analysis knobs), shared across every caller
-# holding the same module alive — sibling obligations, repeated mining
-# runs, the lint semantic pass.  Weak on the module so dropping the
-# netlist drops the analysis.
-_SHARED_FIXPOINTS: "weakref.WeakKeyDictionary[Module, dict]" = (
+# one fixpoint per module, shared across every caller holding the same
+# module alive — sibling obligations, repeated mining runs, the lint
+# semantic pass.  Weak on the module so dropping the netlist drops the
+# analysis.
+_SHARED_FIXPOINTS: "weakref.WeakKeyDictionary[Module, FixpointResult]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def shared_fixpoint(
-    module: Module,
-    *,
-    widen_after: int = 3,
-    max_iterations: int = 50,
-    rom_case_limit: int = 64,
-) -> FixpointResult:
+def shared_fixpoint(module: Module) -> FixpointResult:
     """Memoised :func:`analyze`.
 
-    The fixpoint of a module is a pure function of the netlist and the
-    analysis knobs, so everyone discharging obligations over the same
-    hash-consed module can share one — including its ever-growing
-    :meth:`FixpointResult.eval` memo, which is what makes invariant
-    mining reuse transfer computations across sibling obligations.
+    The fixpoint of a module is a pure function of the netlist, so
+    everyone discharging obligations over the same hash-consed module can
+    share one — including its ever-growing :meth:`FixpointResult.eval`
+    memo, which is what makes invariant mining reuse transfer
+    computations across sibling obligations.
     """
-    per_module = _SHARED_FIXPOINTS.get(module)
-    if per_module is None:
-        per_module = {}
-        _SHARED_FIXPOINTS[module] = per_module
-    key = (widen_after, max_iterations, rom_case_limit)
-    result = per_module.get(key)
+    result = _SHARED_FIXPOINTS.get(module)
     if result is None:
-        result = analyze(
-            module,
-            widen_after=widen_after,
-            max_iterations=max_iterations,
-            rom_case_limit=rom_case_limit,
-        )
-        per_module[key] = result
+        result = analyze(module)
+        _SHARED_FIXPOINTS[module] = result
     return result
 
 
-def analyze(
-    module: Module,
-    *,
-    widen_after: int = 3,
-    max_iterations: int = 50,
-    rom_case_limit: int = 64,
-) -> FixpointResult:
+def analyze(module: Module) -> FixpointResult:
     """Run the fixpoint interpreter; see the module docstring."""
     state: dict[str, AbsValue] = {
         name: AbsValue.const(reg.width, reg.init)
@@ -236,9 +213,7 @@ def analyze(
     roots = module.roots()
     order = E.walk(roots)
     values: dict[int, AbsValue] = {}
-    reg_env, mem_env = _environments(
-        module, state, mem_summary, rom, values, rom_case_limit
-    )
+    reg_env, mem_env = _environments(module, state, mem_summary, rom, values)
 
     def _evaluate() -> None:
         values.clear()
@@ -263,7 +238,7 @@ def analyze(
                 continue  # enable provably 0: the register never moves
             old = state[name]
             nxt = values[id(reg.next)]
-            if iterations > widen_after:
+            if iterations > WIDEN_AFTER:
                 new = old.widen(old.join(nxt))
                 if new != old:
                     widened = True
@@ -287,7 +262,7 @@ def analyze(
                 changed_mems.add(name)
         if not changed and not changed_mems:
             break
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             # backstop: widen everything still moving straight to top
             for name in changed:
                 state[name] = AbsValue.top(module.registers[name].width)
@@ -304,5 +279,4 @@ def analyze(
         values=values,
         iterations=iterations,
         widened=widened,
-        rom_case_limit=rom_case_limit,
     )

@@ -43,42 +43,12 @@ from .fixpoint import FixpointResult, shared_fixpoint
 from .verify import verify_candidates
 
 
-@dataclass(frozen=True)
-class MiningParams:
-    """Knobs for candidate generation and verification.
-
-    Everything here participates in the invariant-cache key (see
-    :meth:`invariant_params`): two runs with different knobs may prove
-    different sets.
-    """
-
-    trace_cycles: int = 64
-    max_conflicts: int | None = 200_000
-    max_candidates: int = 512
-    max_onebit_registers: int = 16
-    widen_after: int = 3
-    max_iterations: int = 50
-    rom_case_limit: int = 64
-    bit_facts: bool = True
-    range_facts: bool = True
-    implications: bool = True
-    templates: bool = True
-
-    def invariant_params(self) -> dict:
-        """The fields a cached mining result depends on."""
-        return {
-            "trace_cycles": self.trace_cycles,
-            "max_conflicts": self.max_conflicts,
-            "max_candidates": self.max_candidates,
-            "max_onebit_registers": self.max_onebit_registers,
-            "widen_after": self.widen_after,
-            "max_iterations": self.max_iterations,
-            "rom_case_limit": self.rom_case_limit,
-            "bit_facts": self.bit_facts,
-            "range_facts": self.range_facts,
-            "implications": self.implications,
-            "templates": self.templates,
-        }
+# The mining knobs.  They decide which invariants a run proves, and the
+# absint cache key does not hash them, so changing any of these (or the
+# fixpoint's, in repro.absint.fixpoint) means bumping ABSINT_VERSION.
+MAX_CONFLICTS = 200_000  # conflict budget of the Houdini check
+MAX_CANDIDATES = 512  # candidates kept, in generation order
+MAX_ONEBIT_REGISTERS = 16  # 1-bit registers the relational grammar pairs
 
 
 @dataclass(frozen=True)
@@ -184,20 +154,18 @@ def rom_template_violations(machine, module) -> list[str]:
 
 
 def generate_candidates(
-    pipelined,
-    fixpoint: FixpointResult,
-    params: MiningParams,
+    pipelined, fixpoint: FixpointResult
 ) -> dict[str, tuple[str, E.Expr]]:
     """Candidate name -> (kind, property); insertion order is the
     deterministic priority order used when trimming to
-    ``max_candidates``."""
+    ``MAX_CANDIDATES``."""
     module = fixpoint.module
     out: dict[str, tuple[str, E.Expr]] = {}
 
     # machine-declared templates first: they encode designer knowledge
     # and are the candidates obligations are generated from
     machine = getattr(pipelined, "machine", None)
-    if params.templates and machine is not None:
+    if machine is not None:
         for template in getattr(machine, "invariant_templates", ()):
             reg = machine.registers[template.register]
             for k in reg.instances():
@@ -218,52 +186,50 @@ def generate_candidates(
         w = reg.width
         full = mask(w)
         read = E.reg_read(name, w)
-        if params.bit_facts and value.known:
+        if value.known:
             prop = E.eq(
                 E.band(read, E.const(w, value.known)),
                 E.const(w, value.value),
             )
             if not isinstance(prop, E.Const):
                 out[f"bits.{name}"] = ("bits", prop)
-        if params.range_facts:
-            # only bounds strictly tighter than what the bit fact implies
-            bit_hi = value.value | (full & ~value.known)
-            if value.hi < bit_hi:
-                out[f"range.hi.{name}"] = (
-                    "range",
-                    E.ule(read, E.const(w, value.hi)),
-                )
-            if value.lo > value.value:
-                out[f"range.lo.{name}"] = (
-                    "range",
-                    E.ule(E.const(w, value.lo), read),
-                )
+        # only bounds strictly tighter than what the bit fact implies
+        bit_hi = value.value | (full & ~value.known)
+        if value.hi < bit_hi:
+            out[f"range.hi.{name}"] = (
+                "range",
+                E.ule(read, E.const(w, value.hi)),
+            )
+        if value.lo > value.value:
+            out[f"range.lo.{name}"] = (
+                "range",
+                E.ule(E.const(w, value.lo), read),
+            )
 
     # relational grammar over the 1-bit control registers
-    if params.implications:
-        onebit = sorted(
-            name
-            for name, reg in module.registers.items()
-            if reg.width == 1
-            and not (
-                fixpoint.registers[name].is_const()
-                if name in fixpoint.registers
-                else False
-            )
-        )[: params.max_onebit_registers]
-        for a, b in itertools.permutations(onebit, 2):
-            out[f"imp.{a}->{b}"] = (
-                "implication",
-                E.implies(E.reg_read(a, 1), E.reg_read(b, 1)),
-            )
-        for a, b in itertools.combinations(onebit, 2):
-            out[f"mutex.{a}.{b}"] = (
-                "mutex",
-                E.bnot(E.band(E.reg_read(a, 1), E.reg_read(b, 1))),
-            )
+    onebit = sorted(
+        name
+        for name, reg in module.registers.items()
+        if reg.width == 1
+        and not (
+            fixpoint.registers[name].is_const()
+            if name in fixpoint.registers
+            else False
+        )
+    )[:MAX_ONEBIT_REGISTERS]
+    for a, b in itertools.permutations(onebit, 2):
+        out[f"imp.{a}->{b}"] = (
+            "implication",
+            E.implies(E.reg_read(a, 1), E.reg_read(b, 1)),
+        )
+    for a, b in itertools.combinations(onebit, 2):
+        out[f"mutex.{a}.{b}"] = (
+            "mutex",
+            E.bnot(E.band(E.reg_read(a, 1), E.reg_read(b, 1))),
+        )
 
-    if len(out) > params.max_candidates:
-        out = dict(itertools.islice(out.items(), params.max_candidates))
+    if len(out) > MAX_CANDIDATES:
+        out = dict(itertools.islice(out.items(), MAX_CANDIDATES))
     return out
 
 
@@ -318,7 +284,7 @@ def mine_invariants(
     pipelined,
     *,
     system: TransitionSystem | None = None,
-    params: MiningParams | None = None,
+    trace_cycles: int = 64,
     check: bool = True,
     cache=None,
     fixpoint: FixpointResult | None = None,
@@ -326,46 +292,43 @@ def mine_invariants(
     """Mine (and, with ``check=True``, SAT-prove) invariants for a module.
 
     ``pipelined`` is a :class:`repro.machine.PipelinedMachine` or a bare
-    :class:`repro.hdl.netlist.Module`.  With ``check=False`` the result
-    carries the trace-surviving *conjectures* and ``checked=False`` —
-    such a result must never be injected.  ``cache`` is an optional
+    :class:`repro.hdl.netlist.Module`.  ``trace_cycles`` is the length of
+    the concrete run that filters candidates before the SAT check; the
+    other knobs are this module's and :mod:`repro.absint.fixpoint`'s
+    constants.  With ``check=False`` the result carries the
+    trace-surviving *conjectures* and ``checked=False`` — such a result
+    must never be injected.  ``cache`` is an optional
     :class:`repro.absint.cache.InvariantCache`; only checked results are
     cached.
     """
     t0 = time.perf_counter()
-    params = params or MiningParams()
     module = getattr(pipelined, "module", pipelined)
 
     key = None
     if cache is not None and check:
-        key = cache.key_for(module, params)
+        key = cache.key_for(module, trace_cycles)
         hit = cache.get(key)
         if hit is not None:
             return hit
 
     if fixpoint is None:
-        # memoised per (module, knobs): sibling obligations, repeated
-        # mining runs and the lint pass share one analysis and one
-        # cross-obligation eval() memo
-        fixpoint = shared_fixpoint(
-            module,
-            widen_after=params.widen_after,
-            max_iterations=params.max_iterations,
-            rom_case_limit=params.rom_case_limit,
-        )
-    generated = generate_candidates(pipelined, fixpoint, params)
+        # memoised per module: sibling obligations, repeated mining runs
+        # and the lint pass share one analysis and one cross-obligation
+        # eval() memo
+        fixpoint = shared_fixpoint(module)
+    generated = generate_candidates(pipelined, fixpoint)
     kinds = {name: kind for name, (kind, _prop) in generated.items()}
     candidates = {name: prop for name, (_kind, prop) in generated.items()}
 
     survivors, rejected = _trace_filter(
-        module, candidates, params.trace_cycles, fixpoint=fixpoint
+        module, candidates, trace_cycles, fixpoint=fixpoint
     )
 
     if check:
         if system is None:
             system = TransitionSystem.from_module(module)
         outcome = verify_candidates(
-            module, system, survivors, max_conflicts=params.max_conflicts
+            module, system, survivors, max_conflicts=MAX_CONFLICTS
         )
         rejected.update(outcome.rejected)
         proven = [

@@ -206,7 +206,7 @@ def _absint_value_row(name: str, width: int, value) -> dict[str, str]:
 
 
 def cmd_absint(args: argparse.Namespace) -> int:
-    from .absint import InvariantCache, MiningParams, analyze, mine_invariants
+    from .absint import InvariantCache, analyze, mine_invariants
     from .faults.catalog import CORES
     from .perf import format_table as _format_table
 
@@ -222,9 +222,6 @@ def cmd_absint(args: argparse.Namespace) -> int:
         for name in names:
             targets.append((name, transform(CORES[name].build_machine())))
 
-    params = MiningParams()
-    if args.cycles is not None:
-        params = MiningParams(trace_cycles=args.cycles)
     cache = None
     if args.check and not args.no_cache:
         cache = InvariantCache(args.cache_dir)
@@ -233,15 +230,10 @@ def cmd_absint(args: argparse.Namespace) -> int:
     failed = False
     for name, pipelined in targets:
         module = pipelined.module
-        fixpoint = analyze(
-            module,
-            widen_after=params.widen_after,
-            max_iterations=params.max_iterations,
-            rom_case_limit=params.rom_case_limit,
-        )
+        fixpoint = analyze(module)
         result = mine_invariants(
             pipelined,
-            params=params,
+            trace_cycles=args.cycles,
             check=args.check,
             cache=cache,
             fixpoint=fixpoint,
@@ -635,7 +627,7 @@ def cmd_family(args: argparse.Namespace) -> int:
                         "outcomes": len(report.outcomes),
                         "served": context.served,
                         "seeded": context.seeded,
-                        "failed": report.failed,
+                        "failed": [record.oid for record in report.failed],
                     }
                 )
                 if report.failed:
@@ -823,8 +815,8 @@ def main(argv: list[str] | None = None) -> int:
         " without this the output is trace-filtered conjectures only",
     )
     absint_parser.add_argument(
-        "--cycles", type=int, default=None,
-        help="trace-filter stimulus length (default: 64)",
+        "--cycles", type=int, default=64,
+        help="trace-filter stimulus length (default: %(default)s)",
     )
     absint_parser.add_argument(
         "--json", metavar="FILE", help="write the structured report here"

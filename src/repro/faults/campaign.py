@@ -48,7 +48,7 @@ from ..proofs.discharge import (
     Status,
     build_trace,
     discharge_equivalence,
-    discharge_invariant,
+    discharge_invariant_group,
     discharge_trace,
     resolve_properties,
 )
@@ -250,9 +250,9 @@ def detect_formal(
     resolve_properties(pipelined, obligations)
     system = TransitionSystem.from_module(pipelined.module)
     for obligation in obligations.invariants():
-        record = discharge_invariant(
+        ((_, record),) = discharge_invariant_group(
             system,
-            obligation,
+            [obligation],
             max_k=params.max_k,
             bmc_bound=params.bmc_bound,
             max_conflicts=params.max_conflicts,

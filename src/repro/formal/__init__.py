@@ -1,4 +1,4 @@
-"""Formal verification substrate: SAT, AIG bit-blasting, BDDs, BMC and
+"""Formal verification substrate: SAT, AIG bit-blasting, BMC and
 k-induction.
 
 These engines discharge the proof obligations the pipeline transformation
@@ -9,14 +9,12 @@ by equivalence checking.
 """
 
 from .aig import Aig, BitBlaster, BlastError, fresh_vec, to_cnf, vec_value
-from .bdd import Bdd, bdd_from_aig
 from .bmc import (
     CheckResult,
     Counterexample,
     TransitionSystem,
     Unroller,
     bmc,
-    bmc_bdd,
     k_induction,
     prove,
 )
@@ -26,7 +24,6 @@ from .sat import SatResult, Solver, solve_cnf
 
 __all__ = [
     "Aig",
-    "Bdd",
     "BitBlaster",
     "BlastError",
     "CheckResult",
@@ -38,9 +35,7 @@ __all__ = [
     "Solver",
     "TransitionSystem",
     "Unroller",
-    "bdd_from_aig",
     "bmc",
-    "bmc_bdd",
     "check_equivalence",
     "exprs_equal_on",
     "fresh_vec",

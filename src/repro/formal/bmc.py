@@ -24,7 +24,10 @@ system is sliced to the property's cone of influence at state-variable
 granularity (individual memory words for constant-address reads).  Pass
 ``incremental=False`` to run the one-shot engines instead: they are the
 test oracle, and both must agree on every verdict (the differential suite
-in ``tests/test_bmc_incremental.py`` holds them to it).
+in ``tests/test_bmc_incremental.py`` holds them to it).  Both engines
+decide the AIG of the same :class:`repro.formal.aig.BitBlaster`, so their
+agreement checks the unrolling, the CNF and the search, never the
+bit-blaster itself; a comparison against simulation does that.
 
 This engine is what discharges the hardware-level proof obligations the
 transformation tool emits (the role PVS played for the paper's authors).
@@ -370,11 +373,10 @@ class Unroller:
     def __init__(
         self,
         system: TransitionSystem,
-        aig: Aig | None = None,
         support: set[str] | None = None,
     ) -> None:
         self.system = system
-        self.aig = aig if aig is not None else Aig()
+        self.aig = Aig()
         self.frames: list[Frame] = []
         self.vars = [
             var
@@ -645,96 +647,6 @@ def bmc(
     return CheckResult(
         holds=True, bound=bound, method="bmc",
         conflicts=conflicts, frames=len(unroller.frames),
-    )
-
-
-def bmc_bdd(
-    module_or_system: Module | TransitionSystem,
-    prop: E.Expr,
-    bound: int,
-    assume: Sequence[E.Expr] = (),
-    max_nodes: int = 200_000,
-) -> CheckResult:
-    """Bounded reachability from reset, decided by BDDs instead of SAT.
-
-    The unrolling is identical to :func:`bmc` (cone-of-influence slice,
-    concrete initial frame, ROMs constant), but each frame's bad-state
-    condition is evaluated as a BDD over the free primary inputs rather
-    than handed to the CDCL solver.  With a concrete reset frame the only
-    BDD variables are the unrolled inputs, so the diagram stays small on
-    exactly the obligations where a SAT engine can get stuck — an
-    independent decision procedure to cross-check the SAT engines against.
-
-    ``max_nodes`` caps the node table; exceeding it returns ``holds=None``
-    with method ``bdd(node-limit)`` rather than thrashing.
-    """
-    from .bdd import Bdd
-
-    system = _system(module_or_system)
-    support = system.cone_of_influence([prop, *assume])
-    unroller = Unroller(system, support=support)
-    unroller.add_initial_frame(free=False)
-    # Blast every frame's property/assumption bits first: blasting appends
-    # AND gates, and the BDD sweep below walks the finished gate list once.
-    frame_assumes: list[list[int]] = []
-    prop_lits: list[int] = []
-    for t in range(bound + 1):
-        if t > 0:
-            unroller.add_step()
-        frame_assumes.append(
-            [unroller.bit_in_frame(t, assumption) for assumption in assume]
-        )
-        prop_lits.append(unroller.bit_in_frame(t, prop))
-
-    aig = unroller.aig
-    bdd = Bdd()
-    # One BDD variable per AIG input, in allocation order; remember which
-    # AIG variable each BDD variable stands for so a model can be decoded.
-    node_of: dict[int, int] = {0: bdd.false}
-    bdd_var_to_aig: list[int] = []
-    for lit in aig._inputs:
-        node_of[lit >> 1] = bdd.new_var()
-        bdd_var_to_aig.append(lit >> 1)
-
-    def lit_node(lit: int) -> int:
-        base = node_of[lit >> 1]
-        return bdd.not_(base) if lit & 1 else base
-
-    def limited(bound_reached: int) -> CheckResult:
-        return CheckResult(
-            holds=None,
-            bound=bound_reached,
-            method="bdd(node-limit)",
-            frames=len(unroller.frames),
-        )
-
-    for var, a, b in aig.ands:
-        node_of[var] = bdd.and_(lit_node(a), lit_node(b))
-        if len(bdd._nodes) > max_nodes:
-            return limited(bound)
-
-    env = bdd.true  # assumptions over frames 0..t, grown per frame
-    for t in range(bound + 1):
-        for lit in frame_assumes[t]:
-            env = bdd.and_(env, lit_node(lit))
-        bad = bdd.and_(env, bdd.not_(lit_node(prop_lits[t])))
-        if len(bdd._nodes) > max_nodes:
-            return limited(t)
-        if bad != bdd.false:
-            assignment = bdd.satisfy_one(bad)
-            model = {
-                bdd_var_to_aig[var]: value
-                for var, value in (assignment or {}).items()
-            }
-            return CheckResult(
-                holds=False,
-                bound=t,
-                method="bdd",
-                counterexample=unroller.decode(model, t + 1),
-                frames=len(unroller.frames),
-            )
-    return CheckResult(
-        holds=True, bound=bound, method="bdd", frames=len(unroller.frames)
     )
 
 

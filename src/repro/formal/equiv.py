@@ -1,10 +1,10 @@
 """Combinational equivalence checking.
 
 Builds a miter over two expressions whose ``RegRead``/``Input``/``MemRead``
-leaves are treated as shared free variables, and decides it with either the
-CDCL SAT solver (default) or the BDD engine.  Used to check, e.g., that the
-log-depth forwarding tree is equivalent to the priority mux chain, and that
-the paper's precomputed signals equal their recomputed counterparts.
+leaves are treated as shared free variables, and decides it with the CDCL
+SAT solver.  Used to check, e.g., that the log-depth forwarding tree is
+equivalent to the priority mux chain, and that the paper's precomputed
+signals equal their recomputed counterparts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..hdl import expr as E
 from .aig import Aig, BitBlaster, Vec, fresh_vec, to_cnf, vec_value
-from .bdd import Bdd, bdd_from_aig
 from .sat import Solver
 
 
@@ -49,23 +48,14 @@ def _shared_blaster(a: E.Expr, b: E.Expr) -> tuple[Aig, BitBlaster]:
     return aig, BitBlaster(aig, regs=regs, inputs=inputs, mem_words=mem_words)
 
 
-def check_equivalence(a: E.Expr, b: E.Expr, engine: str = "sat") -> EquivResult:
+def check_equivalence(a: E.Expr, b: E.Expr) -> EquivResult:
     """Decide whether ``a`` and ``b`` compute the same function.
 
-    ``engine`` is ``"sat"`` or ``"bdd"``.  Leaves are matched by name: the
-    same register/input/memory name in both expressions denotes the same
-    free value.
+    Leaves are matched by name: the same register/input/memory name in
+    both expressions denotes the same free value.
     """
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    if engine == "sat":
-        return _check_sat(a, b)
-    if engine == "bdd":
-        return _check_bdd(a, b)
-    raise ValueError(f"unknown engine {engine!r} (use 'sat' or 'bdd')")
-
-
-def _check_sat(a: E.Expr, b: E.Expr) -> EquivResult:
     aig, blaster = _shared_blaster(a, b)
     va = blaster.blast(a)
     vb = blaster.blast(b)
@@ -101,37 +91,6 @@ def _witness(aig: Aig, blaster: BitBlaster, model: dict[int, bool]) -> EquivResu
             for name, words in blaster.mem_words.items()
         },
     )
-
-
-def _check_bdd(a: E.Expr, b: E.Expr) -> EquivResult:
-    aig, blaster = _shared_blaster(a, b)
-    va = blaster.blast(a)
-    vb = blaster.blast(b)
-    bdd = Bdd()
-    var_map = {lit >> 1: bdd.new_var() for lit in aig._inputs}
-    node_of = bdd_from_aig(bdd, aig.ands, var_map)
-
-    def lit_node(lit: int) -> int:
-        base = node_of[lit >> 1]
-        return bdd.not_(base) if lit & 1 else base
-
-    for x, y in zip(va, vb):
-        if not bdd.equivalent(lit_node(x), lit_node(y)):
-            # extract a witness assignment over AIG input vars
-            diff = bdd.xor_(lit_node(x), lit_node(y))
-            assignment = bdd.satisfy_one(diff) or {}
-            # satisfy_one returns var *indices*; map BDD var index -> AIG var
-            index_to_aig = {
-                bdd.var_of(bdd_node): aig_var
-                for aig_var, bdd_node in var_map.items()
-            }
-            model = {
-                index_to_aig[idx]: value
-                for idx, value in assignment.items()
-                if idx in index_to_aig
-            }
-            return _witness(aig, blaster, model)
-    return EquivResult(equivalent=True)
 
 
 def exprs_equal_on(a: E.Expr, b: E.Expr) -> bool:

@@ -45,14 +45,13 @@ class RefinementResult:
 class StepRefinement:
     """Builds and discharges one step-refinement theorem."""
 
-    def __init__(self, module: Module, steps: int, free_roms: bool = True) -> None:
+    def __init__(self, module: Module, steps: int) -> None:
         self.module = module
         self.steps = steps
         system = TransitionSystem.from_module(module)
-        if free_roms:
-            # ROMs stay constant across the unrolling but their *contents*
-            # are free — the theorem quantifies over every program.
-            system.constant_mems = set()
+        # ROMs stay constant across the unrolling but their *contents* are
+        # free — the theorem quantifies over every program.
+        system.constant_mems = set()
         self.system = system
         self.unroller = Unroller(
             system, support={var.name for var in system.state}

@@ -32,10 +32,9 @@
    document.  Outcomes are ordered by obligation id — not completion
    order — so reports and ``--profile`` tables diff cleanly across runs.
 
-Trace obligations run inline in the orchestrator: they share one stimulus
-simulation and may close over arbitrary input-provider callables, which do
-not cross process boundaries.  Everything SAT-shaped (invariants,
-equivalences) is parallel-safe and timeout-guarded.
+Trace obligations run inline in the orchestrator, every checker reading
+one pipelined simulation of the machine.  Everything SAT-shaped
+(invariants, equivalences) is parallel-safe and timeout-guarded.
 
 Worker processes use the ``fork`` start method, so the transition system
 and expression DAGs are inherited copy-on-write — nothing is pickled on the
@@ -65,7 +64,6 @@ from ..formal.bmc import TransitionSystem
 from ..hdl import expr as E
 from ..proofs.discharge import (
     DischargeRecord,
-    InputProvider,
     Status,
     build_trace,
     discharge_equivalence,
@@ -88,7 +86,9 @@ class EngineParams:
     rerun with different limits still hits the cache.  Invariant mining
     (:mod:`repro.absint`) is not a knob: it runs whenever an obligation
     is headed to a solver, and the assumptions it injects are hashed
-    with the obligation.
+    with the obligation.  Neither is width-family proof reuse: passing a
+    :class:`repro.analysis.family.FamilyContext` to :func:`discharge_jobs`
+    turns it on.
     """
 
     max_k: int = 2
@@ -96,14 +96,6 @@ class EngineParams:
     trace_cycles: int = 200
     liveness_bound: int | None = None
     max_conflicts: int | None = None
-    # width-family proof reuse (repro.analysis.family): serve obligations
-    # whose family certificate covers this width from the family cache,
-    # and seed freshly proved certified obligations into it.  Only active
-    # when the caller also passes a FamilyContext to discharge_jobs.
-    # Verdict-preserving: every serve re-validates the width-erased
-    # template against the obligation's actual serialization, so the
-    # flag stays out of ``invariant_params``.
-    family: bool = True
     # crash quarantine: how often a crashed (signalled / vanished) worker
     # is retried, with exponential backoff, before the obligation is
     # recorded as ``crashed``.  Timeouts are never retried (deterministic).
@@ -173,7 +165,6 @@ class JobReport:
     wall_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    uncacheable: int = 0  # trace obligations under a custom stimulus
     crashes: int = 0  # abnormal worker terminations observed (pre-retry)
     retries: int = 0  # crashed launches that were retried
     worker_seconds: dict[int, float] = field(default_factory=dict)
@@ -236,7 +227,6 @@ class JobReport:
             "cache": {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
-                "uncacheable": self.uncacheable,
                 "hit_rate": round(self.hit_rate, 4),
             },
             "lint_errors": list(self.lint_errors),
@@ -265,8 +255,7 @@ class JobReport:
             f"{self.machine_name}: {len(self.outcomes)} obligations"
             f" ({counts}) in {self.wall_seconds:.2f}s wall",
             f"  cache: {self.cache_hits} hits / {self.cache_misses} misses"
-            f" ({self.hit_rate:.0%} hit rate,"
-            f" {self.uncacheable} uncacheable)",
+            f" ({self.hit_rate:.0%} hit rate)",
             f"  workers: {self.jobs} x"
             f" {self.utilisation:.0%} utilised"
             + (f", timeout {self.timeout:g}s/obligation" if self.timeout else "")
@@ -853,8 +842,6 @@ def discharge_jobs(
     jobs: int | None = None,
     timeout: float | None = None,
     cache: ResultCache | None = None,
-    inputs: InputProvider | None = None,
-    seq_inputs: InputProvider | None = None,
     lint_gate: bool = True,
     taint_gate: bool = True,
     on_outcome: Callable[[JobOutcome], None] | None = None,
@@ -864,9 +851,7 @@ def discharge_jobs(
 
     ``jobs=None`` uses every available CPU; ``timeout`` is the wall-clock
     budget of a single obligation (``None`` = unbounded); ``cache=None``
-    disables the on-disk cache.  Custom stimulus providers make the trace
-    obligations uncacheable (their verdict depends on the callables), but
-    never affect the solver-side obligations.
+    disables the on-disk cache.
 
     The invariant cache misses are batched into groups that each
     discharge over one shared unrolling and solver
@@ -885,16 +870,15 @@ def discharge_jobs(
     ``"taint-gate"``: a design whose speculative state escapes its commit
     guards is wrong regardless of what the per-obligation solvers say.
 
-    ``family`` is an optional :class:`repro.analysis.family.FamilyContext`
-    (active only together with ``params.family``): before anything is
-    fingerprinted or mined, each *raw* obligation whose family certificate
-    covers this width is served from the family cache under its
-    width-erased fingerprint — one stored verdict covers every width of
-    the family — and after the solve, freshly proved certified obligations
-    seed that cache.  Serves re-validate the instantiated template against
-    the obligation's actual serialization, so a certificate can never
-    alias a different obligation.  Trace obligations under a custom
-    stimulus are excluded, exactly as they are from the content cache.
+    ``family`` is an optional :class:`repro.analysis.family.FamilyContext`;
+    passing one is what turns width-family proof reuse on.  Before
+    anything is fingerprinted or mined, each *raw* obligation whose family
+    certificate covers this width is served from the family cache under
+    its width-erased fingerprint — one stored verdict covers every width
+    of the family — and after the solve, freshly proved certified
+    obligations seed that cache.  Serves re-validate the instantiated
+    template against the obligation's actual serialization, so a
+    certificate can never alias a different obligation.
 
     ``on_outcome`` is an optional observer invoked with each
     :class:`JobOutcome` the moment it is final (cache hit, solver
@@ -957,7 +941,6 @@ def discharge_jobs(
 
     resolve_properties(pipelined, obligations)
     system = TransitionSystem.from_module(pipelined.module)
-    custom_stimulus = inputs is not None or seq_inputs is not None
     n = pipelined.n_stages
 
     report = JobReport(
@@ -971,13 +954,10 @@ def discharge_jobs(
     # template has a cached family verdict are settled outright.  This
     # must see the *raw* obligations — absint injection changes the
     # assume sets, and the certificates were erased from the raw cones.
-    family_ctx = family if (family is not None and params.family) else None
     raw: list[Obligation] = list(ordered)
-    if family_ctx is not None:
+    if family is not None:
         for position, obligation in enumerate(ordered):
-            if obligation.kind is ObligationKind.TRACE and custom_stimulus:
-                continue  # verdict depends on the callables, like the cache
-            served = family_ctx.lookup(obligation, pipelined, system, params)
+            served = family.lookup(obligation, pipelined, system, params)
             if served is not None:
                 record, family_fp = served
                 outcome_by_position[position] = emit(
@@ -1020,29 +1000,25 @@ def discharge_jobs(
     for position, obligation in enumerate(ordered):
         if position in outcome_by_position:
             continue  # already served from the family cache
-        if obligation.kind is ObligationKind.TRACE:
+        if cache is None:
+            # fingerprints exist to key the cache: without one there is
+            # nothing to look up or persist, and hashing every
+            # obligation's cone is a measurable slice of a cold run
             fingerprint = None
-            if custom_stimulus:
-                report.uncacheable += 1
-            elif cache is not None:
-                fingerprint = obligation.fingerprint(
-                    module=pipelined.module,
-                    params=params.trace_params(obligation.checker or "", n),
-                )
-        elif cache is not None:
+        elif obligation.kind is ObligationKind.TRACE:
+            fingerprint = obligation.fingerprint(
+                module=pipelined.module,
+                params=params.trace_params(obligation.checker or "", n),
+            )
+        else:
             fingerprint = obligation.fingerprint(
                 system=system,
                 params=params.invariant_params()
                 if obligation.kind is ObligationKind.INVARIANT
                 else None,
             )
-        else:
-            # fingerprints exist to key the cache: without one there is
-            # nothing to look up or persist, and hashing every
-            # obligation's cone is a measurable slice of a cold run
-            fingerprint = None
 
-        if cache is not None and fingerprint is not None:
+        if cache is not None:
             cached = cache.get(fingerprint)
             if cached is not None:
                 report.cache_hits += 1
@@ -1083,9 +1059,7 @@ def discharge_jobs(
 
     # -- trace obligations: inline, every checker reading one pipelined run ----
     shared_trace = (
-        build_trace(pipelined, params.trace_cycles, inputs)
-        if inline_trace
-        else None
+        build_trace(pipelined, params.trace_cycles) if inline_trace else None
     )
     for position, obligation, fingerprint in inline_trace:
         record = discharge_trace(
@@ -1094,8 +1068,6 @@ def discharge_jobs(
             trace=shared_trace,
             trace_cycles=params.trace_cycles,
             liveness_bound=params.liveness_bound,
-            inputs=inputs,
-            seq_inputs=seq_inputs,
         )
         outcome_by_position[position] = emit(
             JobOutcome(
@@ -1119,15 +1091,12 @@ def discharge_jobs(
     # store without touching a solver.  Seeding validates against the raw
     # obligation (the certificates' view); put_family rejects
     # non-cacheable statuses itself.
-    if family_ctx is not None:
+    if family is not None:
         for position, outcome in outcome_by_position.items():
             if outcome.source not in ("worker", "group", "inline", "cache"):
                 continue
-            obligation = raw[position]
-            if obligation.kind is ObligationKind.TRACE and custom_stimulus:
-                continue
-            family_ctx.seed(obligation, pipelined, system, params, outcome.record)
-        report.family = family_ctx.counters()
+            family.seed(raw[position], pipelined, system, params, outcome.record)
+        report.family = family.counters()
 
     # obligation-id order, not completion order: report diffs and
     # --profile tables stay stable across scheduling modes and runs

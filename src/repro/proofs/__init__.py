@@ -5,7 +5,6 @@ from .discharge import (
     Status,
     build_trace,
     discharge_equivalence,
-    discharge_invariant,
     discharge_invariant_group,
     discharge_trace,
     resolve_properties,
@@ -34,7 +33,6 @@ __all__ = [
     "build_trace",
     "counter_name",
     "discharge_equivalence",
-    "discharge_invariant",
     "discharge_invariant_group",
     "discharge_trace",
     "fingerprint_equivalence",

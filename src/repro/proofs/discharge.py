@@ -12,10 +12,9 @@ The work is exposed as pure functions (:func:`discharge_invariant_group`,
 :func:`discharge_equivalence`, :func:`discharge_trace`): they depend only
 on their arguments, so the orchestrator in :mod:`repro.jobs` can run them
 in worker processes.  Every invariant is decided by one engine, the
-shared incremental checker of :mod:`repro.formal.shared`;
-:func:`discharge_invariant` is its one-member case.  The one front door
-that discharges a whole obligation set is
-:func:`repro.jobs.discharge_jobs`.
+shared incremental checker of :mod:`repro.formal.shared`, whether it
+shares the unrolling with siblings or not.  The one front door that
+discharges a whole obligation set is :func:`repro.jobs.discharge_jobs`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from ..core.consistency import (
     PipelinedTrace,
@@ -40,8 +39,6 @@ from ..formal.bmc import TransitionSystem
 from ..hdl.sim import Trace
 from .instrument import instrument_scheduling
 from .obligations import Obligation, ObligationKind, ObligationSet
-
-InputProvider = Callable[[int], Mapping[str, int]]
 
 
 class Status(Enum):
@@ -88,37 +85,12 @@ def resolve_properties(
             obligation.prop = instrument_scheduling(pipelined)
 
 
-def build_trace(
-    pipelined: PipelinedMachine,
-    trace_cycles: int,
-    inputs: InputProvider | None = None,
-) -> PipelinedTrace:
+def build_trace(pipelined: PipelinedMachine, trace_cycles: int) -> PipelinedTrace:
     """The one pipelined run all trace obligations of a machine read
     (:func:`repro.core.run_pipelined`): its trace, and for a machine
     without speculation the visible-state snapshots data consistency
     checks."""
-    return run_pipelined(
-        pipelined.machine, pipelined.module, trace_cycles, inputs
-    )
-
-
-def discharge_invariant(
-    system: TransitionSystem,
-    obligation: Obligation,
-    max_k: int = 2,
-    bmc_bound: int = 8,
-    max_conflicts: int | None = None,
-) -> DischargeRecord:
-    """Discharge one invariant obligation by k-induction, then BMC: the
-    one-member case of :func:`discharge_invariant_group`."""
-    ((_, record),) = discharge_invariant_group(
-        system,
-        [obligation],
-        max_k=max_k,
-        bmc_bound=bmc_bound,
-        max_conflicts=max_conflicts,
-    )
-    return record
+    return run_pipelined(pipelined.machine, pipelined.module, trace_cycles)
 
 
 def discharge_invariant_group(
@@ -255,8 +227,6 @@ def discharge_trace(
     trace: Trace | None = None,
     trace_cycles: int = 200,
     liveness_bound: int | None = None,
-    inputs: InputProvider | None = None,
-    seq_inputs: InputProvider | None = None,
     spec_cache: SpecStateCache | None = None,
     seq_side: tuple[dict[str, list[tuple]], int] | None = None,
 ) -> DischargeRecord:
@@ -279,7 +249,7 @@ def discharge_trace(
     n = pipelined.n_stages
     bound = liveness_bound if liveness_bound is not None else 8 * n
     if trace is None:
-        trace = build_trace(pipelined, trace_cycles, inputs)
+        trace = build_trace(pipelined, trace_cycles)
     if obligation.checker == "lemma1":
         result = check_lemma1(trace, n)
         ok, detail = result.ok, "; ".join(result.violations[:3])
@@ -288,8 +258,6 @@ def discharge_trace(
             pipelined.machine,
             pipelined.module,
             cycles=trace_cycles,
-            inputs=inputs,
-            seq_inputs=seq_inputs,
             trace=trace,
             spec_cache=spec_cache,
         )
@@ -299,8 +267,6 @@ def discharge_trace(
             pipelined.machine,
             pipelined.module,
             cycles=trace_cycles,
-            inputs=inputs,
-            seq_inputs=seq_inputs,
             pipe_trace=trace,
             seq_side=seq_side,
         )

@@ -257,8 +257,8 @@ def fingerprint_trace(
     module: Module, checker: str, params: Mapping[str, object] | None = None
 ) -> str:
     """Fingerprint a trace obligation: the whole simulated module plus the
-    checker name and run parameters.  Only valid for the default stimulus —
-    callers supplying custom input providers must not cache."""
+    checker name and run parameters.  The stimulus is not hashed: trace
+    obligations always run on the default one (every input held at 0)."""
     lines = [f"trace:{checker}", f"module:{fingerprint_module(module)}"]
     lines.extend(_params_lines(params))
     return _digest(lines)

@@ -19,10 +19,11 @@ verdict-relevant engine parameter — the same philosophy as the
 per-obligation fingerprints of :mod:`repro.proofs.fingerprint`, one
 level up: requests with equal keys are the same computation, so the
 server coalesces them in flight and serves repeats from its result
-window.  The verdict-preserving ``family`` knob and the robustness
-knobs stay out of the key, exactly as they stay out of the obligation
-fingerprints.  Invariant mining is not a request param: the engine
-always mines.
+window.  The verdict-preserving ``family`` param (``false`` skips
+width-family proof reuse: the server passes the engine no
+``FamilyContext``) and the robustness knobs stay out of the key, exactly
+as they stay out of the obligation fingerprints.  Invariant mining is
+not a request param: the engine always mines.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from typing import Mapping
 
 from ..core import transform
@@ -105,7 +107,8 @@ def resolve_params(
 
     Returns the resolved :class:`EngineParams` and the canonical override
     dict (unknown keys rejected, so a typo'd knob is a 400, not a
-    silently different computation)."""
+    silently different computation).  ``family`` is not an engine
+    parameter: it stays in the override dict alone."""
     if overrides is None:
         overrides = {}
     if not isinstance(overrides, Mapping):
@@ -126,23 +129,9 @@ def resolve_params(
         ):
             raise BadRequest(f"params.{key} must be an integer")
         clean[key] = value
-    try:
-        params = EngineParams(
-            **{
-                **{
-                    key: getattr(defaults, key)
-                    for key in (
-                        *PARAM_KEYS,
-                        "max_retries",
-                        "mem_limit_mb",
-                        "cpu_limit_s",
-                    )
-                },
-                **clean,
-            }
-        )
-    except TypeError as exc:  # pragma: no cover - schema drift
-        raise BadRequest(str(exc))
+    params = replace(
+        defaults, **{key: clean[key] for key in KEY_PARAMS if key in clean}
+    )
     return params, clean
 
 

@@ -130,6 +130,7 @@ class Job:
         "tenant",
         "machine_spec",
         "params",
+        "family",
         "state",
         "events",
         "subscribers",
@@ -148,11 +149,15 @@ class Job:
         tenant: str,
         machine_spec: dict,
         params: EngineParams,
+        family: bool = True,
     ) -> None:
         self.key = key
         self.tenant = tenant
         self.machine_spec = machine_spec
         self.params = params
+        # the request's ``family`` param: False discharges without a
+        # FamilyContext.  Not in the job key (verdict-preserving).
+        self.family = family
         self.state = "queued"
         self.events: list[dict] = []
         self.subscribers: list[asyncio.Queue] = []
@@ -206,13 +211,19 @@ class DischargeService:
                 machine_spec = protocol.canonical_machine_spec(
                     entry.payload.get("machine")
                 )
-                params, _ = protocol.resolve_params(
+                params, clean = protocol.resolve_params(
                     self.config.params, entry.payload.get("params")
                 )
             except protocol.BadRequest:
                 # journalled under an older schema: nothing to re-run
                 continue
-            job = Job(entry.key, entry.tenant, machine_spec, params)
+            job = Job(
+                entry.key,
+                entry.tenant,
+                machine_spec,
+                params,
+                family=clean.get("family", True),
+            )
             job.recovered_oids = set(entry.verdicts)
             self.inflight[job.key] = job
             self._tenant(job.tenant).active += 1
@@ -274,7 +285,9 @@ class DischargeService:
         (shed/quarantined/draining) or :class:`protocol.BadRequest`.
         Must run on the event loop thread."""
         machine_spec = protocol.canonical_machine_spec(body.get("machine"))
-        params, _ = protocol.resolve_params(self.config.params, body.get("params"))
+        params, clean = protocol.resolve_params(
+            self.config.params, body.get("params")
+        )
         key = protocol.job_key(machine_spec, params)
         now = time.time()
         state = self._tenant(tenant)
@@ -314,7 +327,9 @@ class DischargeService:
                 f" ({self.config.tenant_active} jobs in flight)",
                 retry_after=self._retry_after(),
             )
-        job = Job(key, tenant, machine_spec, params)
+        job = Job(
+            key, tenant, machine_spec, params, family=clean.get("family", True)
+        )
         self.inflight[key] = job
         state.active += 1
         self.stats.accepted += 1
@@ -390,7 +405,7 @@ class DischargeService:
         The per-core analysis is memoised process-wide (pure in core and
         params), so only the first request of a family pays for it; the
         family verdict store shares the cache root."""
-        if self.cache is None or not job.params.family:
+        if self.cache is None or not job.family:
             return None
         core = job.machine_spec.get("core")
         if core is None:

@@ -27,12 +27,12 @@ import pytest
 from repro.absint import (
     AbsValue,
     InvariantCache,
-    MiningParams,
     analyze,
     mine_invariants,
     rom_template_violations,
     verify_candidates,
 )
+from repro.absint.fixpoint import MAX_ITERATIONS
 from repro.absint.mine import MiningResult
 from repro.core.transform import transform
 from repro.faults import CORES, OPERATORS, generate_mutants, run_mutant
@@ -147,8 +147,8 @@ def _counter_module(masked: bool = False) -> Module:
 
 
 def test_fixpoint_terminates_on_free_counter_via_widening():
-    result = analyze(_counter_module(), widen_after=3, max_iterations=50)
-    assert result.iterations < 50
+    result = analyze(_counter_module())
+    assert result.iterations < MAX_ITERATIONS
     value = result.registers["c"]
     # sound: every value the counter concretely reaches is included
     for concrete in (0, 1, 2, 1000, 0xFFFF):
@@ -277,19 +277,18 @@ def test_mining_result_roundtrips_through_json():
 
 def test_invariant_cache_hit_and_corrupt_eviction(tmp_path):
     module = _counter_module(masked=True)
-    params = MiningParams()
     cache = InvariantCache(tmp_path)
-    first = mine_invariants(module, params=params, check=True, cache=cache)
+    first = mine_invariants(module, check=True, cache=cache)
     assert not first.from_cache and cache.stats.stores == 1
-    second = mine_invariants(module, params=params, check=True, cache=cache)
+    second = mine_invariants(module, check=True, cache=cache)
     assert second.from_cache and cache.stats.hits == 1
     assert {i.name for i in second.proven} == {i.name for i in first.proven}
 
     # corrupt the record: the cache must evict and re-mine, not crash
-    key = cache.key_for(module, params)
+    key = cache.key_for(module, 64)
     path = cache._path(key)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    third = mine_invariants(module, params=params, check=True, cache=cache)
+    third = mine_invariants(module, check=True, cache=cache)
     assert not third.from_cache
     assert cache.stats.evictions == 1
 

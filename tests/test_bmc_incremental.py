@@ -12,8 +12,9 @@ frame is a semantic property of the system, not an engine choice).
 Coverage: randomized small machines (registers, a memory with constant and
 symbolic reads, free inputs), the toy pipeline's generated obligations, and
 — slow-marked — every invariant obligation of the small DLX.  The
-obligation suites also hold :func:`repro.proofs.discharge_invariant` to the
-oracle's status and method.
+obligation suites also hold a one-member
+:func:`repro.proofs.discharge_invariant_group` to the oracle's status and
+method.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class TestRandomMachines:
 class TestToyPipeline:
     def test_all_toy_obligations_agree(self, toy_pipelined, one_shot_verdict):
         from repro.proofs import (
-            discharge_invariant,
+            discharge_invariant_group,
             generate_obligations,
             resolve_properties,
         )
@@ -184,7 +185,7 @@ class TestToyPipeline:
                 system, obligation.prop, max_k=2, assume=assume, incremental=True
             )
             _assert_agree(scratch, incremental, obligation.oid)
-            record = discharge_invariant(system, obligation)
+            ((_, record),) = discharge_invariant_group(system, [obligation])
             assert (record.status.value, record.method) == one_shot_verdict(
                 system, obligation
             ), obligation.oid
@@ -199,7 +200,7 @@ def test_all_dlx_obligations_agree(one_shot_verdict):
     from repro.dlx import DlxConfig, build_dlx_machine
     from repro.dlx.programs import fibonacci
     from repro.proofs import (
-        discharge_invariant,
+        discharge_invariant_group,
         generate_obligations,
         resolve_properties,
     )
@@ -215,7 +216,7 @@ def test_all_dlx_obligations_agree(one_shot_verdict):
     resolve_properties(pipelined, obligations)
     system = TransitionSystem.from_module(pipelined.module)
     for obligation in obligations.invariants():
-        record = discharge_invariant(system, obligation)
+        ((_, record),) = discharge_invariant_group(system, [obligation])
         assert (record.status.value, record.method) == one_shot_verdict(
             system, obligation
         ), obligation.oid

@@ -10,7 +10,6 @@ code).
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -410,22 +409,6 @@ class TestEngineServe:
         for outcome in served:
             assert outcome.record.status is seeded_status[outcome.record.oid]
 
-    def test_family_opt_out_disables_serving(self, toy_analysis, tmp_path):
-        cache = FamilyCache(tmp_path)
-        spec = FAMILIES["toy"]
-        params = EngineParams(trace_cycles=spec.trace_cycles)
-        (w0, p0, o0), (w1, p1, o1) = _toy_instances((8, 16))
-        discharge_jobs(
-            p0, o0, params=params, cache=None,
-            family=FamilyContext(toy_analysis, w0, cache),
-        )
-        off = replace(params, family=False)
-        ctx = FamilyContext(toy_analysis, w1, cache)
-        report = discharge_jobs(p1, o1, params=off, cache=None, family=ctx)
-        assert ctx.served == 0
-        assert all(o.source != "family" for o in report.outcomes)
-        assert report.family is None
-
     def test_width_below_cutoff_never_serves(self, toy_analysis, tmp_path):
         cache = FamilyCache(tmp_path)
         spec = FAMILIES["toy"]
@@ -640,9 +623,7 @@ class TestCrosscheck:
 
 def _sweep_statuses(spec, widths, oids):
     """Discharge the certified subset family-off at each width."""
-    params = replace(
-        EngineParams(trace_cycles=spec.trace_cycles), family=False
-    )
+    params = EngineParams(trace_cycles=spec.trace_cycles)
     per_width = {}
     for width in widths:
         pipelined = spec.instance(width)
@@ -699,6 +680,46 @@ class TestCli:
         assert entry["family"] == "toy"
         assert entry["certified"] == entry["obligations"]
         assert entry["lint"]  # the width-cutoff INFO
+
+    def test_width_sweep_json_lists_failed_oids(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.jobs.engine as engine_mod
+        from repro.cli import main
+        from repro.jobs.engine import JobOutcome, JobReport
+        from repro.proofs import DischargeRecord, Status
+
+        def one_failure(pipelined, obligations, **kwargs):
+            record = DischargeRecord(
+                oid="stall.bogus", title="t", status=Status.FAILED, method="bmc(1)"
+            )
+            return JobReport(
+                machine_name=obligations.machine_name,
+                jobs=1,
+                timeout=None,
+                outcomes=[JobOutcome(record=record, fingerprint=None, source="inline")],
+            )
+
+        monkeypatch.setattr(engine_mod, "discharge_jobs", one_failure)
+        out_path = tmp_path / "family.json"
+        code = main(
+            [
+                "family",
+                "--core",
+                "toy",
+                "--width-sweep",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--json",
+                str(out_path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 1
+        (entry,) = json.loads(out_path.read_text())["families"]
+        assert [w["width"] for w in entry["width_sweep"]] == [8, 16, 32]
+        for width in entry["width_sweep"]:
+            assert width["failed"] == ["stall.bogus"]
 
     def test_family_command_unknown_core(self, capsys):
         from repro.cli import main
@@ -844,7 +865,9 @@ class TestService:
 
         defaults = EngineParams()
         params, clean = resolve_params(defaults, {"family": False})
-        assert params.family is False
+        # not an engine parameter: the service decides whether to pass
+        # the engine a FamilyContext
+        assert params == defaults
         assert clean == {"family": False}
         with pytest.raises(BadRequest):
             resolve_params(defaults, {"family": "yes"})

@@ -296,46 +296,6 @@ class TestEngine:
         ]
         assert all(r.status is Status.TRACE_OK for r in trace_records)
 
-    def test_custom_stimulus_is_uncacheable(
-        self, toy_pipelined, toy_obligations, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        report = discharge_jobs(
-            toy_pipelined,
-            toy_obligations,
-            cache=cache,
-            jobs=1,
-            inputs=lambda cycle: {},
-        )
-        assert report.uncacheable == len(toy_obligations.trace_checks())
-        # a second identical run must not claim trace hits it can't prove
-        warm = discharge_jobs(
-            toy_pipelined,
-            toy_obligations,
-            cache=cache,
-            jobs=1,
-            inputs=lambda cycle: {},
-        )
-        assert warm.uncacheable == report.uncacheable
-        assert warm.cache_hits == len(toy_obligations) - report.uncacheable
-
-    def test_cacheless_run_counts_only_custom_stimulus_uncacheable(
-        self, toy_pipelined, toy_obligations
-    ):
-        # without a cache nothing is looked up; only a custom stimulus
-        # makes a trace obligation uncacheable
-        plain = discharge_jobs(toy_pipelined, toy_obligations, jobs=1, cache=None)
-        assert plain.uncacheable == 0
-        assert "0 uncacheable" in plain.format_text()
-        custom = discharge_jobs(
-            toy_pipelined,
-            toy_obligations,
-            jobs=1,
-            cache=None,
-            inputs=lambda cycle: {},
-        )
-        assert custom.uncacheable == len(toy_obligations.trace_checks())
-
     def test_equivalences_through_the_engine(self, toy_machine):
         """A tree-style toy carries two forwarding-style equivalence
         obligations: each is a task of its own, decided by the SAT miter

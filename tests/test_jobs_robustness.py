@@ -30,16 +30,13 @@ import pytest
 import repro.jobs.engine as engine_mod
 
 from repro.absint import InvariantCache, MiningResult
-from repro.formal.bmc import TransitionSystem, bmc, bmc_bdd
 from repro.formal.shared import SharedContext
-from repro.hdl import expr as E
 from repro.jobs import CACHE_VERSION, EngineParams, ResultCache, discharge_jobs
 from repro.jobs.cache import FamilyCache
 from repro.proofs import (
     DischargeRecord,
     Status,
     generate_obligations,
-    resolve_properties,
 )
 from repro.store import seal, unseal
 
@@ -313,12 +310,6 @@ def test_cpu_rlimit_kills_spinning_worker(
 # per-member degradation inside a group
 
 
-def _toy_invariant(toy_pipelined, toy_obligations):
-    resolve_properties(toy_pipelined, toy_obligations)
-    system = TransitionSystem.from_module(toy_pipelined.module)
-    return system, toy_obligations.invariants()[0]
-
-
 def test_group_error_recorded_in_job_report(
     monkeypatch, toy_pipelined, toy_obligations
 ):
@@ -433,38 +424,6 @@ def test_timeout_wins_over_hung_engine(
         if outcome.source != "timeout":
             assert outcome.record.ok, outcome.record
     assert report.wall_seconds < 45
-
-
-# ---------------------------------------------------------------------------
-# BDD engine cross-checks
-
-
-def test_bmc_bdd_agrees_with_sat_bmc(toy_pipelined, toy_obligations):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-    sat = bmc(system, obligation.prop, bound=3, assume=list(obligation.assume))
-    bdd = bmc_bdd(
-        system, obligation.prop, bound=3, assume=list(obligation.assume)
-    )
-    assert sat.holds is True and bdd.holds is True
-    assert bdd.method == "bdd"
-
-
-def test_bmc_bdd_finds_counterexample(toy_pipelined, toy_obligations):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-    negated = E.bnot(obligation.prop)
-    result = bmc_bdd(system, negated, bound=2)
-    assert result.holds is False
-    assert result.counterexample is not None
-    assert result.counterexample.length >= 1
-    # agree with the SAT engine on the verdict
-    assert bmc(system, negated, bound=2).holds is False
-
-
-def test_bmc_bdd_node_limit(toy_pipelined, toy_obligations):
-    system, obligation = _toy_invariant(toy_pipelined, toy_obligations)
-    result = bmc_bdd(system, obligation.prop, bound=3, max_nodes=0)
-    assert result.holds is None
-    assert result.method == "bdd(node-limit)"
 
 
 # ---------------------------------------------------------------------------

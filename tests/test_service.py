@@ -9,12 +9,14 @@ kill/recover phase) lives in ``tests/test_service_chaos.py``.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -113,7 +115,8 @@ def test_param_resolution_rejects_unknown_and_mistyped():
     with pytest.raises(BadRequest, match="unknown params: absint"):
         protocol.resolve_params(defaults, {"absint": True})
     params, clean = protocol.resolve_params(defaults, {"max_k": 3, "family": False})
-    assert params.max_k == 3 and params.family is False
+    # family is a request param, not an engine parameter
+    assert params == replace(defaults, max_k=3)
     assert clean == {"max_k": 3, "family": False}
     # server-side robustness knobs survive untouched
     assert params.max_retries == defaults.max_retries
@@ -511,6 +514,70 @@ def test_recovery_drops_jobs_the_schema_no_longer_accepts(tmp_path):
         assert server.call(server.service.stats_dict)["recovered"] == 0
         state = server.call(server.service.journal.scan)
         assert state.jobs == {} and state.lines == 0
+
+
+# ---------------------------------------------------------------------------
+# the family request param
+
+
+def _family_reports(config, submissions):
+    """Run ``(tenant, body)`` submissions one after another through an
+    in-process service (after it recovers its journal); returns each
+    job's ``(family, report)``, recovered jobs first."""
+    from repro.service.server import DischargeService
+
+    async def run():
+        service = DischargeService(config)
+        await service.start()
+        try:
+            jobs = list(service.inflight.values())
+            for job in jobs:
+                await job.done_event.wait()
+            for tenant, body in submissions:
+                job, _ = service.submit(tenant, body)
+                await job.done_event.wait()
+                jobs.append(job)
+            return [(job.family, job.report) for job in jobs]
+        finally:
+            await service.drain()
+
+    return asyncio.run(run())
+
+
+def test_family_false_request_discharges_without_family(tmp_path):
+    """The width-8 request seeds the family store; with ``family`` off
+    the width-16 request, which family reuse would serve, is solved."""
+    config = _config(tmp_path, solve_slots=1)
+    ((_, seeding), (family, report)) = _family_reports(
+        config,
+        [
+            ("t", {"machine": {"core": "toy", "width": 8}, "params": PARAMS}),
+            (
+                "t",
+                {
+                    "machine": {"core": "toy", "width": 16},
+                    "params": {**PARAMS, "family": False},
+                },
+            ),
+        ],
+    )
+    assert seeding.family is not None and seeding.family["seeded"] > 0
+    assert family is False
+    assert report.ok and report.family is None
+    assert all(o.source != "family" for o in report.outcomes)
+
+
+def test_recovered_job_keeps_its_family_param(tmp_path):
+    journal = Journal(tmp_path / "svc" / "journal.ndjson")
+    journal.accepted(
+        "family-off-job",
+        "t",
+        {"machine": TOY, "params": {**PARAMS, "family": False}},
+    )
+    journal.close()
+    ((family, report),) = _family_reports(_config(tmp_path, solve_slots=1), [])
+    assert family is False
+    assert report.ok and report.family is None
 
 
 # ---------------------------------------------------------------------------

@@ -219,25 +219,21 @@ def interpreted_filter(module, candidates, cycles, fixpoint):
 @pytest.mark.parametrize("core", CORE_NAMES)
 def test_mining_filter_matches_the_interpreter(core, use_fixpoint):
     pipelined = transform(CORES[core].build_machine())
-    params = mine.MiningParams()
-    fixpoint = shared_fixpoint(
-        pipelined.module,
-        widen_after=params.widen_after,
-        max_iterations=params.max_iterations,
-        rom_case_limit=params.rom_case_limit,
-    )
+    fixpoint = shared_fixpoint(pipelined.module)
     candidates = {
         name: prop
         for name, (_kind, prop) in mine.generate_candidates(
-            pipelined, fixpoint, params
+            pipelined, fixpoint
         ).items()
     }
     used = fixpoint if use_fixpoint else None
+    # the trace length mine_invariants filters with by default
+    cycles = 64
     alive, rejected = mine._trace_filter(
-        pipelined.module, candidates, params.trace_cycles, fixpoint=used
+        pipelined.module, candidates, cycles, fixpoint=used
     )
     want_alive, want_rejected = interpreted_filter(
-        pipelined.module, candidates, params.trace_cycles, used
+        pipelined.module, candidates, cycles, used
     )
     assert list(alive) == list(want_alive)
     assert list(rejected.items()) == list(want_rejected.items())
