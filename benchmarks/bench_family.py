@@ -24,6 +24,8 @@ This bench runs the sweep both ways and records two comparisons:
    traces) re-solves at every width either way and dominates DLX
    wall-clock, so this ratio is modest by construction; it is asserted
    only not to *regress* (family-on <= 1.25x family-off).
+   ``ratio_incl_analysis`` counts the analysis against family-on: above
+   1.0, a one-shot sweep pays for the analysis.
 
 Recorded to ``BENCH_family.json`` per family: per-width walls for both
 arms and both scopes, served/seeded counters, certified counts, and the
@@ -159,6 +161,9 @@ def test_family_sweep():
                 "off_total": round(full_off, 3),
                 "on_total": round(full_on, 3),
                 "ratio": round(full_off / full_on, 2),
+                "ratio_incl_analysis": round(
+                    full_off / (full_on + analysis_seconds), 2
+                ),
             },
             "min_speedup_gate": MIN_SPEEDUP,
         }

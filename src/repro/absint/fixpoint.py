@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..hdl import expr as E
 from ..hdl.bitvec import mask
-from ..hdl.netlist import Module
+from ..hdl.netlist import Memory, Module
 from .domain import AbsValue, abs_transfer
 
 # The analysis knobs.  A fixpoint feeds the mined invariants the absint
@@ -79,11 +80,10 @@ def _memory_summary(memory, include_unwritten: bool) -> AbsValue:
 
 
 def _environments(
-    module: Module,
+    memories: dict[str, Memory],
     state: dict[str, AbsValue],
     mem_summary: dict[str, AbsValue],
-    rom: dict[str, bool],
-    values: dict[int, AbsValue],
+    values: dict[E.Expr, AbsValue],
 ):
     """The register/memory environments of one abstract evaluation,
     closed over a (possibly still-moving) abstract state."""
@@ -95,13 +95,13 @@ def _environments(
         return current
 
     def mem_env(node: E.Expr) -> AbsValue:
-        memory = module.memories.get(node.mem)  # type: ignore[attr-defined]
+        memory = memories.get(node.mem)  # type: ignore[attr-defined]
         if memory is None or memory.data_width != node.width:
             return AbsValue.top(node.width)
         summary = mem_summary[memory.name]
-        if rom[memory.name]:
+        if not memory.write_ports:
             # case-split a narrow abstract address over the concrete words
-            addrs = _concrete_values(values[id(node.addr)], ROM_CASE_LIMIT)
+            addrs = _concrete_values(values[node.addr], ROM_CASE_LIMIT)
             if addrs is not None and addrs:
                 out: AbsValue | None = None
                 for a in addrs:
@@ -123,73 +123,62 @@ class FixpointResult:
 
     ``registers`` maps register names to facts true in every reachable
     state; ``memories`` maps memory names to a single-word summary of
-    all reachable contents; ``values`` maps ``id(node)`` to the abstract
-    value of every combinational node in the final (stable) evaluation.
+    all reachable contents; ``values`` maps each combinational node of
+    the final (stable) evaluation to its abstract value.
 
     :meth:`eval` extends ``values`` on demand to expressions outside the
-    module's roots, memoised on interned node ids — the cross-obligation
-    CSE that lets candidate properties and sibling obligations reuse each
-    other's transfer computations.
+    module's roots, memoised on the interned nodes themselves — the
+    cross-obligation CSE that lets candidate properties and sibling
+    obligations reuse each other's transfer computations.  The result
+    holds the environments :func:`analyze` built over the module's
+    memories, never the module, so a memo weak on the module lets it go.
     """
 
-    module: Module
     registers: dict[str, AbsValue]
     memories: dict[str, AbsValue]
-    values: dict[int, AbsValue]
+    values: dict[E.Expr, AbsValue]
     iterations: int
     widened: bool
-    # nodes evaluated through eval(): keeps their ids (the memo keys)
-    # from being recycled by the allocator while this result is alive
-    _pinned: list = field(default_factory=list, repr=False)
+    _reg_env: Callable[[E.Expr], AbsValue] = field(repr=False)
+    _mem_env: Callable[[E.Expr], AbsValue] = field(repr=False)
 
     def eval(self, expression: E.Expr) -> AbsValue:
         """Abstract value of an arbitrary expression in the stable state.
 
-        Transfers are memoised in ``values`` keyed on interned node ids:
-        any subterm hash-consed together with a previously evaluated
+        Transfers are memoised in ``values`` keyed on interned nodes: any
+        subterm hash-consed together with a previously evaluated
         expression — another candidate invariant, a sibling obligation's
-        property — is a dictionary hit, not a recomputation.  Evaluated
-        nodes are pinned so the ids stay valid for this result's
-        lifetime.
+        property — is a dictionary hit, and the walk stops there.
         """
-        rom = {
-            name: not memory.write_ports
-            for name, memory in self.module.memories.items()
-        }
-        reg_env, mem_env = _environments(
-            self.module, self.registers, self.memories, rom, self.values
-        )
         values = self.values
-        for node in E.walk([expression]):
-            if id(node) in values:
-                continue
-            values[id(node)] = abs_transfer(
+        for node in E.walk_new([expression], values):
+            values[node] = abs_transfer(
                 node,
-                lambda n: values[id(n)],
-                reg_env=reg_env,
-                mem_env=mem_env,
+                values.__getitem__,
+                reg_env=self._reg_env,
+                mem_env=self._mem_env,
             )
-            self._pinned.append(node)
-        return values[id(expression)]
+        return values[expression]
 
 
 # one fixpoint per module, shared across every caller holding the same
 # module alive — sibling obligations, repeated mining runs, the lint
-# semantic pass.  Weak on the module so dropping the netlist drops the
-# analysis.
+# semantic pass.  Weak on the module (no FixpointResult refers back to
+# it), so dropping the netlist drops the analysis.
 _SHARED_FIXPOINTS: "weakref.WeakKeyDictionary[Module, FixpointResult]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def shared_fixpoint(module: Module) -> FixpointResult:
-    """Memoised :func:`analyze`.
+    """Memoised :func:`analyze`, weak on the module.
 
     The fixpoint of a module is a pure function of the netlist, so
     everyone discharging obligations over the same hash-consed module can
     share one — including its ever-growing :meth:`FixpointResult.eval`
-    memo, which is what makes invariant mining reuse transfer
-    computations across sibling obligations.
+    memo, keyed by node, which is what makes invariant mining reuse
+    transfer computations across sibling obligations.  The entry goes
+    when the module does.
     """
     result = _SHARED_FIXPOINTS.get(module)
     if result is None:
@@ -204,23 +193,23 @@ def analyze(module: Module) -> FixpointResult:
         name: AbsValue.const(reg.width, reg.init)
         for name, reg in module.registers.items()
     }
-    mem_summary: dict[str, AbsValue] = {}
-    rom: dict[str, bool] = {}
-    for name, memory in module.memories.items():
-        rom[name] = not memory.write_ports
-        mem_summary[name] = _memory_summary(memory, include_unwritten=True)
+    mem_summary: dict[str, AbsValue] = {
+        name: _memory_summary(memory, include_unwritten=True)
+        for name, memory in module.memories.items()
+    }
 
-    roots = module.roots()
-    order = E.walk(roots)
-    values: dict[int, AbsValue] = {}
-    reg_env, mem_env = _environments(module, state, mem_summary, rom, values)
+    order = E.walk(module.roots())
+    values: dict[E.Expr, AbsValue] = {}
+    reg_env, mem_env = _environments(
+        module.memories, state, mem_summary, values
+    )
 
     def _evaluate() -> None:
         values.clear()
         for node in order:
-            values[id(node)] = abs_transfer(
+            values[node] = abs_transfer(
                 node,
-                lambda n: values[id(n)],
+                values.__getitem__,
                 reg_env=reg_env,
                 mem_env=mem_env,
             )
@@ -233,11 +222,11 @@ def analyze(module: Module) -> FixpointResult:
         changed: set[str] = set()
         changed_mems: set[str] = set()
         for name, reg in module.registers.items():
-            enable = values[id(reg.enable)]
+            enable = values[reg.enable]
             if enable.hi == 0:
                 continue  # enable provably 0: the register never moves
             old = state[name]
-            nxt = values[id(reg.next)]
+            nxt = values[reg.next]
             if iterations > WIDEN_AFTER:
                 new = old.widen(old.join(nxt))
                 if new != old:
@@ -248,15 +237,13 @@ def analyze(module: Module) -> FixpointResult:
                 state[name] = new
                 changed.add(name)
         for name, memory in module.memories.items():
-            if rom[name]:
-                continue
             old = mem_summary[name]
             new = old
             for port in memory.write_ports:
-                enable = values[id(port.enable)]
+                enable = values[port.enable]
                 if enable.hi == 0:
                     continue
-                new = new.join(values[id(port.data)])
+                new = new.join(values[port.data])
             if new != old:
                 mem_summary[name] = new
                 changed_mems.add(name)
@@ -273,10 +260,11 @@ def analyze(module: Module) -> FixpointResult:
             widened = True
 
     return FixpointResult(
-        module=module,
         registers=state,
         memories=mem_summary,
         values=values,
         iterations=iterations,
         widened=widened,
+        _reg_env=reg_env,
+        _mem_env=mem_env,
     )

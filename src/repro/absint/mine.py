@@ -159,7 +159,7 @@ def generate_candidates(
     """Candidate name -> (kind, property); insertion order is the
     deterministic priority order used when trimming to
     ``MAX_CANDIDATES``."""
-    module = fixpoint.module
+    module = getattr(pipelined, "module", pipelined)
     out: dict[str, tuple[str, E.Expr]] = {}
 
     # machine-declared templates first: they encode designer knowledge

@@ -10,9 +10,10 @@ upward.  This module turns that observation into an auditable artifact:
 
 1. :func:`analyze_family` builds **two** instances of a family (base and
    check width), runs the differential parametricity inference of
-   :mod:`repro.analysis.widths` over every obligation cone, and emits an
-   :class:`ObligationCertificate` per obligation — certified or not,
-   with the reason and the entanglement count.
+   :mod:`repro.analysis.widths` once over their paired transition
+   systems, reads every obligation's cone off that one typing, and
+   emits an :class:`ObligationCertificate` per obligation — certified
+   or not, with the reason and the entanglement count.
 
 2. A certified obligation gets a **width-erased template**: the exact
    canonical serialization its content fingerprint digests, with every
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..absint.fixpoint import shared_fixpoint
 from ..core.transform import PipelinedMachine, transform
@@ -604,25 +605,13 @@ class _Sharpener:
         self.fp1 = shared_fixpoint(pipelined1.module)
         self._memo: dict[tuple[int, int, int], bool] = {}
 
-    def prime(self, roots0: Sequence[E.Expr], roots1: Sequence[E.Expr]) -> None:
-        """Evaluate whole cones once, so per-pair consultations are
-        memo-table lookups instead of per-node cone walks."""
-        for root in roots0:
-            self.fp0.eval(root)
-        for root in roots1:
-            self.fp1.eval(root)
-
     def __call__(self, n0: E.Expr, n1: E.Expr, computed: ParamType) -> bool:
         key = (id(n0), id(n1), int(computed))
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        v0 = self.fp0.values.get(id(n0))
-        if v0 is None:
-            v0 = self.fp0.eval(n0)
-        v1 = self.fp1.values.get(id(n1))
-        if v1 is None:
-            v1 = self.fp1.eval(n1)
+        v0 = self.fp0.eval(n0)
+        v1 = self.fp1.eval(n1)
         result = v0.is_const() and v1.is_const() and v0.lo == v1.lo
         if not result and computed is ParamType.SLICEWISE:
             result = n0.width < n1.width and v1.hi < (1 << n0.width)
@@ -707,18 +696,70 @@ def _engine_signals(pipelined: PipelinedMachine) -> list[list[E.Expr]]:
     return [engine.full, engine.dhaz, engine.stall, engine.rollback_prime, engine.ue]
 
 
+def _trace_roots(pipelined: PipelinedMachine) -> list[E.Expr]:
+    """Everything :func:`_gate_trace` reads a pair type of."""
+    signals = [signal for group in _engine_signals(pipelined) for signal in group]
+    return pipelined.module.roots() + signals
+
+
+def _system_typing(
+    pipelined0: PipelinedMachine,
+    pipelined1: PipelinedMachine,
+    system0: TransitionSystem,
+    system1: TransitionSystem,
+    invariants: Sequence[tuple[Obligation, Obligation]],
+    hooks: dict[str, Any],
+) -> ConeTyping:
+    """One typing of the paired transition systems.
+
+    Its roots are every state variable's next function, the trace
+    roots, and the property and assumptions of every invariant pair
+    whose root counts match (the others fail when restricted).  Every
+    invariant and trace certificate reads its cone off this typing.
+    ``hooks`` are :func:`infer_types`' declassification and sharpening
+    arguments.
+    """
+    names = [var.name for var in system0.state]
+    if sorted(names) != sorted(var.name for var in system1.state):
+        raise PairMismatch("state variables differ across widths")
+    states = _state_specs(names, system0, system1)
+    roots0 = [spec.next0 for spec in states] + _trace_roots(pipelined0)
+    roots1 = [spec.next1 for spec in states] + _trace_roots(pipelined1)
+    for obligation, other in invariants:
+        if len(obligation.assume) == len(other.assume):
+            roots0 += [obligation.prop, *obligation.assume]
+            roots1 += [other.prop, *other.assume]
+    return infer_types(
+        roots0,
+        roots1,
+        states=states,
+        mems=_mem_specs(names, pipelined0, pipelined1, system0),
+        **hooks,
+    )
+
+
 def analyze_family(
     spec: FamilySpec,
     params: "EngineParams | None" = None,
 ) -> FamilyAnalysis:
     """Run the differential width-parametricity analysis over one family.
 
-    Builds the base- and check-width instances, types every obligation's
-    cone by paired bisimulation, erases width-generic templates against a
-    third (template-width) instance, and emits one certificate per
-    obligation.  Failures anywhere — structural divergence, entangled
-    roots, un-erasable serializations — yield an *uncertified*
-    certificate with the reason; they never raise.
+    Builds the base- and check-width instances and types their paired
+    transition systems once (:func:`_system_typing`).  Each invariant
+    certificate reads its cone — the property, the assumptions and the
+    next functions of their support — off that typing, and each trace
+    certificate the module roots plus the stall-engine signals.  An
+    equivalence obligation quantifies over all register values, so it
+    gets a stateless typing of its own.  Width-generic templates are
+    then erased against a third (template-width) instance, and one
+    certificate is emitted per obligation.
+
+    Failures anywhere — structural divergence, entangled roots,
+    un-erasable serializations — yield an *uncertified* certificate with
+    the reason; they never raise.  A structural mismatch anywhere in the
+    paired systems leaves every invariant and trace certificate
+    uncertified, with the mismatch as the reason: the analysis fails
+    safe.
     """
     if params is None:
         from ..jobs.engine import EngineParams
@@ -736,79 +777,33 @@ def analyze_family(
     system0 = TransitionSystem.from_module(pipelined0.module)
     system1 = TransitionSystem.from_module(pipelined1.module)
     system2 = TransitionSystem.from_module(pipelined2.module)
-    sharpen = _Sharpener(pipelined0, pipelined1)
-    declassify0 = _declassified(pipelined0)
-    declassify1 = _declassified(pipelined1)
+    hooks: dict[str, Any] = dict(
+        declassify0=_declassified(pipelined0),
+        declassify1=_declassified(pipelined1),
+        sharpen=_Sharpener(pipelined0, pipelined1),
+    )
     by_oid1 = {obligation.oid: obligation for obligation in obligations1}
     by_oid2 = {obligation.oid: obligation for obligation in obligations2}
 
     analysis = FamilyAnalysis(spec=spec, base=pipelined0, check=pipelined1)
 
-    module_typing: ConeTyping | PairMismatch | None = None
-
-    def trace_typing() -> ConeTyping:
-        nonlocal module_typing
-        if module_typing is None:
-            roots0 = pipelined0.module.roots() + [
-                signal for group in _engine_signals(pipelined0) for signal in group
-            ]
-            roots1 = pipelined1.module.roots() + [
-                signal for group in _engine_signals(pipelined1) for signal in group
-            ]
-            states = [
-                StateSpec(
-                    name=name,
-                    width0=reg0.width,
-                    width1=reg1.width,
-                    init0=reg0.init,
-                    init1=reg1.init,
-                    next0=reg0.next,
-                    next1=reg1.next,
-                    enable0=reg0.enable,
-                    enable1=reg1.enable,
-                )
-                for (name, reg0), reg1 in zip(
-                    pipelined0.module.registers.items(),
-                    pipelined1.module.registers.values(),
-                )
-            ]
-            mems = [
-                MemSpec(
-                    name=name,
-                    width0=m0.data_width,
-                    width1=m1.data_width,
-                    rom=not m0.write_ports,
-                    init_equal=(
-                        m0.addr_width == m1.addr_width and m0.init == m1.init
-                    ),
-                    ports0=tuple(
-                        (p.enable, p.addr, p.data) for p in m0.write_ports
-                    ),
-                    ports1=tuple(
-                        (p.enable, p.addr, p.data) for p in m1.write_ports
-                    ),
-                )
-                for (name, m0), m1 in zip(
-                    pipelined0.module.memories.items(),
-                    pipelined1.module.memories.values(),
-                )
-            ]
-            try:
-                sharpen.prime(roots0, roots1)
-                module_typing = infer_types(
-                    roots0,
-                    roots1,
-                    states=states,
-                    mems=mems,
-                    declassify0=declassify0,
-                    declassify1=declassify1,
-                    sharpen=sharpen,
-                )
-            except PairMismatch as exc:
-                module_typing = exc
-        if isinstance(module_typing, PairMismatch):
-            raise module_typing
-        return module_typing
+    invariants = [
+        (obligation, by_oid1[obligation.oid])
+        for obligation in obligations0
+        if obligation.kind is ObligationKind.INVARIANT
+        and obligation.oid in by_oid1
+    ]
+    system_typing: ConeTyping | PairMismatch
+    trace_cone: ConeTyping | PairMismatch
+    try:
+        system_typing = _system_typing(
+            pipelined0, pipelined1, system0, system1, invariants, hooks
+        )
+        trace_cone = system_typing.restrict(
+            _trace_roots(pipelined0), _trace_roots(pipelined1)
+        )
+    except PairMismatch as exc:
+        system_typing = trace_cone = exc
 
     for obligation in obligations0:
         oid = obligation.oid
@@ -828,7 +823,15 @@ def analyze_family(
             continue
         scaled_support: int | None = None
         try:
-            if obligation.kind is ObligationKind.INVARIANT:
+            if obligation.kind is ObligationKind.EQUIVALENCE:
+                assert obligation.equiv is not None and other.equiv is not None
+                roots0 = list(obligation.equiv)
+                roots1 = list(other.equiv)
+                typing = infer_types(roots0, roots1, **hooks)
+                failure = _gate_roots(typing, roots0, roots1, _SLICEWISE)
+            elif isinstance(system_typing, PairMismatch):
+                raise system_typing
+            elif obligation.kind is ObligationKind.INVARIANT:
                 assert obligation.prop is not None and other.prop is not None
                 roots0 = [obligation.prop, *obligation.assume]
                 roots1 = [other.prop, *other.assume]
@@ -841,34 +844,14 @@ def analyze_family(
                     for name in support
                     if system0.var(name).width != system1.var(name).width
                 )
-                walk0 = roots0 + [system0.var(n).next for n in support]
-                walk1 = roots1 + [system1.var(n).next for n in support]
-                sharpen.prime(walk0, walk1)
-                typing = infer_types(
-                    walk0,
-                    walk1,
-                    states=_state_specs(support, system0, system1),
-                    mems=_mem_specs(support, pipelined0, pipelined1, system0),
-                    declassify0=declassify0,
-                    declassify1=declassify1,
-                    sharpen=sharpen,
+                typing = system_typing.restrict(
+                    roots0 + [system0.var(n).next for n in support],
+                    roots1 + [system1.var(n).next for n in support],
                 )
                 failure = _gate_roots(typing, roots0, roots1, _UNIFORM)
-            elif obligation.kind is ObligationKind.EQUIVALENCE:
-                assert obligation.equiv is not None and other.equiv is not None
-                roots0 = list(obligation.equiv)
-                roots1 = list(other.equiv)
-                sharpen.prime(roots0, roots1)
-                typing = infer_types(
-                    roots0,
-                    roots1,
-                    declassify0=declassify0,
-                    declassify1=declassify1,
-                    sharpen=sharpen,
-                )
-                failure = _gate_roots(typing, roots0, roots1, _SLICEWISE)
             else:
-                typing = trace_typing()
+                assert isinstance(trace_cone, ConeTyping)
+                typing = trace_cone
                 failure = _gate_trace(typing, pipelined0, pipelined1)
             certificate.entangled_nodes = typing.entangled
             certificate.counts = typing.counts()

@@ -38,11 +38,17 @@ the same value?  Structural divergence between the instances
 :class:`PairMismatch`, which callers treat as "not certifiable": the
 analysis fails safe.
 
-State elements (registers / transition-system variables / memory words)
-are typed by a Kleene fixpoint: every element starts at the type of its
-(width-independent) reset value and is joined with the type of its next
-function until stable — the forward may-analysis over the four-point
-lattice, monotone and therefore terminating.
+State elements are the variables of a transition system
+(:class:`repro.formal.bmc.TransitionSystem`): every register and every
+memory word, each with its update condition folded into its next
+function (a register's enable and a word's write ports become the
+select of a hold mux).  They are typed by a Kleene fixpoint: every
+element starts at the type of its (width-independent) reset value and
+is joined with the type of its next function until stable — the
+forward may-analysis over the four-point lattice, monotone and
+therefore terminating.  A fixpoint over a whole paired system types
+every cone of it: a cone is closed under dependency, so
+:meth:`ConeTyping.restrict` reads any cone's types off the one typing.
 
 The inference can be *sharpened* by the absint known-bits fixpoint
 (:mod:`repro.absint`): a net proved reachably-constant in **both**
@@ -89,22 +95,17 @@ class PairMismatch(Exception):
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One state element under the fixpoint, paired across instances.
-
-    ``enable`` is ``None`` when the update condition is already folded
-    into ``next`` (transition-system variables); ``next`` is ``None`` for
-    free (universally quantified) leaves.
-    """
+    """One transition-system variable under the fixpoint, paired across
+    instances: a register or a memory word, whose ``next`` function
+    already folds in its update condition."""
 
     name: str
     width0: int
     width1: int
     init0: int
     init1: int
-    next0: E.Expr | None = None
-    next1: E.Expr | None = None
-    enable0: E.Expr | None = None
-    enable1: E.Expr | None = None
+    next0: E.Expr
+    next1: E.Expr
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ class MemSpec:
 
     ``rom`` memories have fixed contents; ``init_equal`` says the word
     dictionaries are identical across the two instances.  ``word_vars``
-    names the per-word :class:`StateSpec` entries (transition-system
-    mode); ``ports`` carries explicit write ports (module mode).
+    names the per-word :class:`StateSpec` entries, whose types a read of
+    a writable memory joins.
     """
 
     name: str
@@ -123,8 +124,6 @@ class MemSpec:
     rom: bool = False
     init_equal: bool = True
     word_vars: tuple[str, ...] = ()
-    ports0: tuple[tuple[E.Expr, E.Expr, E.Expr], ...] = ()
-    ports1: tuple[tuple[E.Expr, E.Expr, E.Expr], ...] = ()
 
 
 def _rle(parts: Sequence[E.Expr]) -> list[tuple[E.Expr, int]]:
@@ -251,17 +250,27 @@ def pair_nodes(
 
 @dataclass
 class ConeTyping:
-    """The inferred types of one paired cone."""
+    """The inferred types of one paired cone: one per node pair, in
+    :func:`pair_nodes` order, plus ``env``, the stable type of every
+    state variable."""
 
     order: list[tuple[E.Expr, E.Expr]] = field(repr=False)
     index: dict[tuple[int, int], int] = field(repr=False)
     types: list[ParamType] = field(repr=False)
     env: dict[str, ParamType] = field(default_factory=dict)
-    iterations: int = 0
 
     def of(self, node0: E.Expr, node1: E.Expr) -> ParamType:
         """Type of a pair inside the analyzed cone."""
         return self.types[self.index[(id(node0), id(node1))]]
+
+    def restrict(
+        self, roots0: Iterable[E.Expr], roots1: Iterable[E.Expr]
+    ) -> "ConeTyping":
+        """The typing of the sub-cone paired from the given roots, read
+        off this one (every root pair must lie inside it)."""
+        order, index = pair_nodes(roots0, roots1)
+        types = [self.of(n0, n1) for n0, n1 in order]
+        return ConeTyping(order, index, types, self.env)
 
     @property
     def entangled(self) -> int:
@@ -292,15 +301,15 @@ def infer_types(
 ) -> ConeTyping:
     """Infer parametricity types over a paired cone.
 
-    ``roots`` must include every state next/enable and write-port
-    expression named by ``states``/``mems`` (matched across instances),
-    so the bisimulation reaches them.  ``declassify*`` are ``id()`` sets
-    of nets forced to ``UNIFORM`` (a pair is declassified only when
-    *both* sides are listed, keeping the pairing honest); ``sharpen`` is
-    the absint hook — consulted with the syntactic type before any pair
-    is typed above ``UNIFORM``, it may prove the pair equal-valued
-    (paired constants; a truncation-stable value whose wide instance
-    provably fits below the narrow width).
+    ``roots`` must include the next function of every state variable
+    named by ``states`` (matched across instances), so the bisimulation
+    reaches them.  ``declassify*`` are ``id()`` sets of nets forced to
+    ``UNIFORM`` (a pair is declassified only when *both* sides are
+    listed, keeping the pairing honest); ``sharpen`` is the absint hook
+    — consulted with the syntactic type before any pair is typed above
+    ``UNIFORM``, it may prove the pair equal-valued (paired constants; a
+    truncation-stable value whose wide instance provably fits below the
+    narrow width).
 
     Raises :class:`PairMismatch` on structural divergence.
     """
@@ -309,12 +318,6 @@ def infer_types(
     mem_by_name = {spec.name: spec for spec in mems}
 
     def init_type(spec: StateSpec) -> ParamType:
-        if spec.next0 is None:  # free (universally quantified) leaf
-            return (
-                ParamType.SLICEWISE
-                if spec.width0 != spec.width1
-                else ParamType.UNIFORM
-            )
         if spec.init0 == spec.init1:
             return ParamType.CONST
         if spec.init1 % (1 << spec.width0) == spec.init0:
@@ -322,7 +325,8 @@ def infer_types(
         return ParamType.ENTANGLED
 
     env: dict[str, ParamType] = {spec.name: init_type(spec) for spec in states}
-    mem_env: dict[str, ParamType] = {
+    # the type of each memory's initial contents
+    mem_init: dict[str, ParamType] = {
         spec.name: (ParamType.CONST if spec.init_equal else ParamType.ENTANGLED)
         for spec in mems
     }
@@ -340,7 +344,7 @@ def infer_types(
         # quadratic in word count (the DLX data memory has thousands)
         mem_word: dict[str, ParamType] = {
             spec.name: join(
-                mem_env[spec.name], *(env[var] for var in spec.word_vars)
+                mem_init[spec.name], *(env[var] for var in spec.word_vars)
             )
             for spec in mems
         }
@@ -375,7 +379,7 @@ def infer_types(
                     if spec is None:
                         base = free_leaf(n0, n1)
                     elif spec.rom:
-                        base = mem_env[n0.mem]
+                        base = mem_init[n0.mem]
                         # fixed, equal contents read at a uniform address
                         # give the *same word* in every member
                         if base is ParamType.CONST and t_addr > ParamType.CONST:
@@ -507,58 +511,22 @@ def infer_types(
             result.append(computed)
         return result
 
-    def decision(t: ParamType) -> bool:
-        return t <= ParamType.UNIFORM
-
     types: list[ParamType] = []
     iterations = 0
-    limit = 3 * max(1, len(states) + len(mems)) + 2
+    limit = 3 * len(states) + 2
     while True:
         iterations += 1
         if iterations > limit:  # pragma: no cover - monotone, bounded
             raise AssertionError("parametricity fixpoint failed to converge")
         types = eval_all()
-
-        def t_of(e0: E.Expr, e1: E.Expr) -> ParamType:
-            return types[index[(id(e0), id(e1))]]
-
         changed = False
         for spec in states:
-            if spec.next0 is None or spec.next1 is None:
-                continue
-            t_next = t_of(spec.next0, spec.next1)
-            if (
-                spec.enable0 is not None
-                and spec.enable1 is not None
-                and not decision(t_of(spec.enable0, spec.enable1))
-            ):
-                new = ParamType.ENTANGLED
-            else:
-                new = join(env[spec.name], t_next)
+            t_next = types[index[(id(spec.next0), id(spec.next1))]]
+            new = join(env[spec.name], t_next)
             if new != env[spec.name]:
                 env[spec.name] = new
-                changed = True
-        for spec in mems:
-            if spec.rom or not spec.ports0:
-                continue
-            new = mem_env[spec.name]
-            for (en0, addr0, data0), (en1, addr1, data1) in zip(
-                spec.ports0, spec.ports1
-            ):
-                if decision(t_of(en0, en1)) and decision(t_of(addr0, addr1)):
-                    new = join(new, t_of(data0, data1))
-                else:
-                    new = ParamType.ENTANGLED
-            if new != mem_env[spec.name]:
-                mem_env[spec.name] = new
                 changed = True
         if not changed:
             break
 
-    return ConeTyping(
-        order=order,
-        index=index,
-        types=types,
-        env={**env, **{f"mem:{k}": v for k, v in mem_env.items()}},
-        iterations=iterations,
-    )
+    return ConeTyping(order=order, index=index, types=types, env=env)

@@ -144,7 +144,7 @@ def lint_semantic(
     for path, root in roots:
         if isinstance(root, E.Const) or already_constant(root):
             continue
-        value = fixpoint.values.get(id(root))
+        value = fixpoint.values.get(root)
         if value is None or not value.is_const():
             continue
         context.emit(
@@ -161,7 +161,7 @@ def lint_semantic(
             continue
         if already_constant(node.sel):
             continue  # structural unreachable-mux-arm already fires
-        value = fixpoint.values.get(id(node.sel))
+        value = fixpoint.values.get(node.sel)
         if value is None or not value.is_const():
             continue
         arm = "else" if value.value & 1 else "then"

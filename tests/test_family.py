@@ -13,11 +13,17 @@ import json
 
 import pytest
 
+from repro.analysis import family as family_module
 from repro.analysis.family import (
     FAMILIES,
     FamilyAnalysis,
     FamilyContext,
     FamilyMismatch,
+    _declassified,
+    _mem_specs,
+    _Sharpener,
+    _state_specs,
+    _system_typing,
     analyze_family,
     canonicalize,
     crosscheck_family,
@@ -39,7 +45,8 @@ from repro.jobs import EngineParams, discharge_jobs
 from repro.jobs.cache import FamilyCache
 from repro.lint import Severity, lint_family
 from repro.proofs import generate_obligations
-from repro.proofs.obligations import ObligationSet
+from repro.proofs.discharge import resolve_properties
+from repro.proofs.obligations import ObligationKind, ObligationSet
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +242,19 @@ class TestWidthTyping:
         counts = infer_types([r0], [r1]).counts()
         assert counts["slicewise"] >= 2 and counts["const"] >= 1
 
+    def test_restrict_reads_a_subcone(self):
+        def build(w):
+            inner = E.add(E.input_port("a", w), E.const(w, 1))
+            return inner, E.eq(inner, E.input_port("b", w))
+
+        (inner0, outer0), (inner1, outer1) = build(8), build(16)
+        whole = infer_types([outer0], [outer1])
+        restricted = whole.restrict([inner0], [inner1])
+        own = infer_types([inner0], [inner1])
+        assert restricted.order == own.order
+        assert restricted.types == own.types
+        assert restricted.counts() == own.counts() != whole.counts()
+
 
 # ---------------------------------------------------------------------------
 # templates: canonicalize / erase / instantiate / recons
@@ -374,6 +394,122 @@ class TestCertificates:
         for oid, certificate in analysis.certificates.items():
             if oid not in certified:
                 assert certificate.reason
+
+
+# ---------------------------------------------------------------------------
+# one typing per family, restricted to every certificate's cone
+# ---------------------------------------------------------------------------
+
+
+def _paired_invariants(spec):
+    """The base and check instances, their transition systems, and the
+    invariant obligations paired by oid, as analyze_family builds them."""
+    pipelined0 = spec.instance(spec.base_width)
+    pipelined1 = spec.instance(spec.check_width)
+    obligations0 = generate_obligations(pipelined0)
+    obligations1 = generate_obligations(pipelined1)
+    resolve_properties(pipelined0, obligations0)
+    resolve_properties(pipelined1, obligations1)
+    by_oid1 = {obligation.oid: obligation for obligation in obligations1}
+    invariants = [
+        (obligation, by_oid1[obligation.oid])
+        for obligation in obligations0
+        if obligation.kind is ObligationKind.INVARIANT
+    ]
+    systems = (
+        TransitionSystem.from_module(pipelined0.module),
+        TransitionSystem.from_module(pipelined1.module),
+    )
+    return (pipelined0, pipelined1), systems, invariants
+
+
+class TestOneTyping:
+    @pytest.mark.parametrize("core", ["toy", "dlx-small"])
+    def test_system_typing_restricts_to_each_cone_typing(self, core):
+        spec = FAMILIES[core]
+        analysis = analyze_family(
+            spec, EngineParams(trace_cycles=spec.trace_cycles)
+        )
+        (pipelined0, pipelined1), (system0, system1), invariants = (
+            _paired_invariants(spec)
+        )
+        declassify0 = _declassified(pipelined0)
+        declassify1 = _declassified(pipelined1)
+        typing = _system_typing(
+            pipelined0,
+            pipelined1,
+            system0,
+            system1,
+            invariants,
+            dict(
+                declassify0=declassify0,
+                declassify1=declassify1,
+                sharpen=_Sharpener(pipelined0, pipelined1),
+            ),
+        )
+        oracle_sharpen = _Sharpener(pipelined0, pipelined1)
+        assert invariants
+        for obligation, other in invariants:
+            roots0 = [obligation.prop, *obligation.assume]
+            roots1 = [other.prop, *other.assume]
+            support = sorted(system0.cone_of_influence(roots0))
+            walk0 = roots0 + [system0.var(n).next for n in support]
+            walk1 = roots1 + [system1.var(n).next for n in support]
+            # the oracle: a fixpoint over this cone's own state variables
+            cone = infer_types(
+                walk0,
+                walk1,
+                states=_state_specs(support, system0, system1),
+                mems=_mem_specs(support, pipelined0, pipelined1, system0),
+                declassify0=declassify0,
+                declassify1=declassify1,
+                sharpen=oracle_sharpen,
+            )
+            restricted = typing.restrict(walk0, walk1)
+            assert restricted.order == cone.order, obligation.oid
+            assert restricted.types == cone.types, obligation.oid
+            assert {n: typing.env[n] for n in support} == cone.env
+            certificate = analysis.certificates[obligation.oid]
+            counts = dict(certificate.counts)
+            del counts["scaled_support"]
+            assert counts == cone.counts(), obligation.oid
+            assert certificate.entangled_nodes == cone.entangled
+
+    def test_analyze_family_types_the_system_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(bool(kwargs.get("states")))
+            return infer_types(*args, **kwargs)
+
+        monkeypatch.setattr(family_module, "infer_types", counting)
+        spec = FAMILIES["toy"]
+        analysis = analyze_family(
+            spec, EngineParams(trace_cycles=spec.trace_cycles)
+        )
+        assert len(analysis.certified()) == len(analysis.certificates)
+        # toy has no equivalence obligation, the only per-obligation typing
+        assert calls == [True]
+
+    def test_system_mismatch_uncertifies_invariants_and_traces(
+        self, monkeypatch
+    ):
+        def mismatch(*args, **kwargs):
+            raise PairMismatch("injected mismatch")
+
+        monkeypatch.setattr(family_module, "_system_typing", mismatch)
+        spec = FAMILIES["toy"]
+        analysis = analyze_family(
+            spec, EngineParams(trace_cycles=spec.trace_cycles)
+        )
+        kinds = set()
+        for certificate in analysis.certificates.values():
+            kinds.add(certificate.kind)
+            assert not certificate.certified
+            assert certificate.reason == "injected mismatch"
+            assert certificate.template is None
+            assert certificate.family_fingerprint is None
+        assert kinds == {"invariant", "trace"}
 
 
 # ---------------------------------------------------------------------------
