@@ -50,20 +50,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..absint.fixpoint import shared_fixpoint
 from ..core.transform import PipelinedMachine, transform
 from ..formal.bmc import TransitionSystem
 from ..hdl import expr as E
 from ..machine.prepared import PreparedMachine
 from ..proofs.discharge import resolve_properties
-from ..proofs.fingerprint import (
-    _digest,
-    equivalence_lines,
-    invariant_lines,
-    trace_lines,
-)
+from ..proofs.fingerprint import _digest, invariant_lines, trace_lines
 from ..proofs.obligations import (
     Obligation,
     ObligationKind,
@@ -421,9 +415,6 @@ def _rewrite_meta(line: str, remap: list[int | None]) -> str:
         if not body:
             return line
         return "assume:" + ",".join(ref(token) for token in body.split(","))
-    if line.startswith("equiv:"):
-        a, b = line[len("equiv:") :].split(",")
-        return f"equiv:{ref(a)},{ref(b)}"
     if line.startswith("state:"):
         body, next_ref = line.rsplit(":", 1)
         return f"{body}:{ref(next_ref)}"
@@ -461,8 +452,9 @@ def obligation_lines(
     system: TransitionSystem,
     params: "EngineParams",
 ) -> list[str]:
-    """The canonical serialization of one obligation, exactly as its
-    content fingerprint digests it (flat form for traces)."""
+    """The canonical serialization of one invariant or trace obligation,
+    exactly as its content fingerprint digests it (flat form for
+    traces)."""
     if obligation.kind is ObligationKind.INVARIANT:
         assert obligation.prop is not None
         return invariant_lines(
@@ -471,9 +463,6 @@ def obligation_lines(
             obligation.assume,
             params.invariant_params(),
         )
-    if obligation.kind is ObligationKind.EQUIVALENCE:
-        assert obligation.equiv is not None
-        return equivalence_lines(*obligation.equiv)
     assert obligation.checker is not None
     return trace_lines(
         pipelined.module,
@@ -516,12 +505,12 @@ class ObligationCertificate:
 
 @dataclass
 class FamilyAnalysis:
-    """Certificates for every obligation of a family, plus the instances
-    they were inferred from (kept alive so hash-consed ids stay valid)."""
+    """Certificates for every obligation of a family, plus the base-width
+    instance they were inferred at (the machine the family lint reports
+    on)."""
 
     spec: FamilySpec
     base: PipelinedMachine = field(repr=False)
-    check: PipelinedMachine = field(repr=False)
     certificates: dict[str, ObligationCertificate] = field(default_factory=dict)
 
     def certified(self) -> list[ObligationCertificate]:
@@ -592,33 +581,6 @@ def _mem_specs(
     return specs
 
 
-class _Sharpener:
-    """Absint value oracle: a pair may drop to ``UNIFORM`` when the
-    known-bits/interval fixpoints prove the two instances equal-valued —
-    either both reachably constant with the same value, or
-    truncation-stable (``SLICEWISE``: narrow == wide mod 2^w0) with the
-    wide instance provably below ``2^w0``, so the high bits that could
-    differ are known zero and the integers coincide."""
-
-    def __init__(self, pipelined0: PipelinedMachine, pipelined1: PipelinedMachine):
-        self.fp0 = shared_fixpoint(pipelined0.module)
-        self.fp1 = shared_fixpoint(pipelined1.module)
-        self._memo: dict[tuple[int, int, int], bool] = {}
-
-    def __call__(self, n0: E.Expr, n1: E.Expr, computed: ParamType) -> bool:
-        key = (id(n0), id(n1), int(computed))
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        v0 = self.fp0.eval(n0)
-        v1 = self.fp1.eval(n1)
-        result = v0.is_const() and v1.is_const() and v0.lo == v1.lo
-        if not result and computed is ParamType.SLICEWISE:
-            result = n0.width < n1.width and v1.hi < (1 << n0.width)
-        self._memo[key] = result
-        return result
-
-
 def _declassified(pipelined: PipelinedMachine) -> set[int]:
     # Speculation mispredict bits and designer-declared scheduling oracles
     # (branch decisions) are the sanctioned squash/redirect channels: the
@@ -635,13 +597,10 @@ _SLICEWISE = ParamType.SLICEWISE
 
 
 def _gate_roots(
-    typing: ConeTyping,
-    roots0: Sequence[E.Expr],
-    roots1: Sequence[E.Expr],
-    bound: ParamType,
+    typing: ConeTyping, roots0: Sequence[E.Expr], roots1: Sequence[E.Expr]
 ) -> str | None:
     for r0, r1 in zip(roots0, roots1):
-        if typing.of(r0, r1) > bound:
+        if typing.of(r0, r1) > _UNIFORM:
             return f"root typed {typing.of(r0, r1)}"
     return None
 
@@ -708,7 +667,6 @@ def _system_typing(
     system0: TransitionSystem,
     system1: TransitionSystem,
     invariants: Sequence[tuple[Obligation, Obligation]],
-    hooks: dict[str, Any],
 ) -> ConeTyping:
     """One typing of the paired transition systems.
 
@@ -716,8 +674,8 @@ def _system_typing(
     roots, and the property and assumptions of every invariant pair
     whose root counts match (the others fail when restricted).  Every
     invariant and trace certificate reads its cone off this typing.
-    ``hooks`` are :func:`infer_types`' declassification and sharpening
-    arguments.
+    The only nets forced to ``UNIFORM`` are each instance's
+    :func:`_declassified` channels.
     """
     names = [var.name for var in system0.state]
     if sorted(names) != sorted(var.name for var in system1.state):
@@ -734,7 +692,8 @@ def _system_typing(
         roots1,
         states=states,
         mems=_mem_specs(names, pipelined0, pipelined1, system0),
-        **hooks,
+        declassify0=_declassified(pipelined0),
+        declassify1=_declassified(pipelined1),
     )
 
 
@@ -748,11 +707,12 @@ def analyze_family(
     transition systems once (:func:`_system_typing`).  Each invariant
     certificate reads its cone — the property, the assumptions and the
     next functions of their support — off that typing, and each trace
-    certificate the module roots plus the stall-engine signals.  An
-    equivalence obligation quantifies over all register values, so it
-    gets a stateless typing of its own.  Width-generic templates are
-    then erased against a third (template-width) instance, and one
-    certificate is emitted per obligation.
+    certificate the module roots plus the stall-engine signals.
+    Width-generic templates are then erased against a third
+    (template-width) instance, and one certificate is emitted per
+    obligation.  Families are built with chain forwarding, which emits
+    no equivalence obligation; one that appears anyway stays
+    uncertified.
 
     Failures anywhere — structural divergence, entangled roots,
     un-erasable serializations — yield an *uncertified* certificate with
@@ -777,15 +737,10 @@ def analyze_family(
     system0 = TransitionSystem.from_module(pipelined0.module)
     system1 = TransitionSystem.from_module(pipelined1.module)
     system2 = TransitionSystem.from_module(pipelined2.module)
-    hooks: dict[str, Any] = dict(
-        declassify0=_declassified(pipelined0),
-        declassify1=_declassified(pipelined1),
-        sharpen=_Sharpener(pipelined0, pipelined1),
-    )
     by_oid1 = {obligation.oid: obligation for obligation in obligations1}
     by_oid2 = {obligation.oid: obligation for obligation in obligations2}
 
-    analysis = FamilyAnalysis(spec=spec, base=pipelined0, check=pipelined1)
+    analysis = FamilyAnalysis(spec=spec, base=pipelined0)
 
     invariants = [
         (obligation, by_oid1[obligation.oid])
@@ -797,7 +752,7 @@ def analyze_family(
     trace_cone: ConeTyping | PairMismatch
     try:
         system_typing = _system_typing(
-            pipelined0, pipelined1, system0, system1, invariants, hooks
+            pipelined0, pipelined1, system0, system1, invariants
         )
         trace_cone = system_typing.restrict(
             _trace_roots(pipelined0), _trace_roots(pipelined1)
@@ -821,15 +776,12 @@ def analyze_family(
         if other is None or upper is None:
             certificate.reason = "obligation missing at a sibling width"
             continue
+        if obligation.kind not in (ObligationKind.INVARIANT, ObligationKind.TRACE):
+            certificate.reason = f"{kind} obligations are not analysed"
+            continue
         scaled_support: int | None = None
         try:
-            if obligation.kind is ObligationKind.EQUIVALENCE:
-                assert obligation.equiv is not None and other.equiv is not None
-                roots0 = list(obligation.equiv)
-                roots1 = list(other.equiv)
-                typing = infer_types(roots0, roots1, **hooks)
-                failure = _gate_roots(typing, roots0, roots1, _SLICEWISE)
-            elif isinstance(system_typing, PairMismatch):
+            if isinstance(system_typing, PairMismatch):
                 raise system_typing
             elif obligation.kind is ObligationKind.INVARIANT:
                 assert obligation.prop is not None and other.prop is not None
@@ -848,7 +800,7 @@ def analyze_family(
                     roots0 + [system0.var(n).next for n in support],
                     roots1 + [system1.var(n).next for n in support],
                 )
-                failure = _gate_roots(typing, roots0, roots1, _UNIFORM)
+                failure = _gate_roots(typing, roots0, roots1)
             else:
                 assert isinstance(trace_cone, ConeTyping)
                 typing = trace_cone

@@ -50,11 +50,8 @@ therefore terminating.  A fixpoint over a whole paired system types
 every cone of it: a cone is closed under dependency, so
 :meth:`ConeTyping.restrict` reads any cone's types off the one typing.
 
-The inference can be *sharpened* by the absint known-bits fixpoint
-(:mod:`repro.absint`): a net proved reachably-constant in **both**
-instances with the same value is ``UNIFORM`` regardless of its syntactic
-type.  Individual nets can also be *declassified* to ``UNIFORM`` — used
-by :mod:`repro.analysis.family` for speculation mispredict bits, the
+Individual nets can be *declassified* to ``UNIFORM`` — used by
+:mod:`repro.analysis.family` for speculation mispredict bits, the
 sanctioned one-bit squash channel whose value the scheduling argument
 quantifies over (mirroring the taint rung's speculative-control
 declassification); every declassification is audited empirically by
@@ -65,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..hdl import expr as E
 
@@ -297,7 +294,6 @@ def infer_types(
     mems: Sequence[MemSpec] = (),
     declassify0: frozenset[int] | set[int] = frozenset(),
     declassify1: frozenset[int] | set[int] = frozenset(),
-    sharpen: Callable[[E.Expr, E.Expr, ParamType], bool] | None = None,
 ) -> ConeTyping:
     """Infer parametricity types over a paired cone.
 
@@ -305,11 +301,7 @@ def infer_types(
     named by ``states`` (matched across instances), so the bisimulation
     reaches them.  ``declassify*`` are ``id()`` sets of nets forced to
     ``UNIFORM`` (a pair is declassified only when *both* sides are
-    listed, keeping the pairing honest); ``sharpen`` is the absint hook
-    — consulted with the syntactic type before any pair is typed above
-    ``UNIFORM``, it may prove the pair equal-valued (paired constants; a
-    truncation-stable value whose wide instance provably fits below the
-    narrow width).
+    listed, keeping the pairing honest).
 
     Raises :class:`PairMismatch` on structural divergence.
     """
@@ -505,8 +497,6 @@ def infer_types(
 
             if computed > ParamType.UNIFORM:
                 if id(n0) in declassify0 and id(n1) in declassify1:
-                    computed = ParamType.UNIFORM
-                elif sharpen is not None and sharpen(n0, n1, computed):
                     computed = ParamType.UNIFORM
             result.append(computed)
         return result

@@ -135,13 +135,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     against the sequential reference is one of the obligations."""
     from .jobs import EngineParams, discharge_jobs
 
+    try:
+        params = EngineParams(trace_cycles=args.cycles)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     _source, program, _labels = _load(args.program)
     machine = build_dlx_machine(program, config=_config_for(program, args.dmem_bits))
     pipelined = transform(machine)
     report = discharge_jobs(
         pipelined,
         generate_obligations(pipelined),
-        params=EngineParams(trace_cycles=args.cycles),
+        params=params,
         jobs=1,
         cache=None,
     )
@@ -154,6 +159,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_discharge(args: argparse.Namespace) -> int:
     from .jobs import EngineParams, ResultCache, discharge_jobs
 
+    try:
+        params = EngineParams(
+            max_k=args.max_k,
+            bmc_bound=args.bmc_bound,
+            trace_cycles=args.cycles,
+            max_retries=args.max_retries,
+            mem_limit_mb=args.mem_limit,
+            cpu_limit_s=args.cpu_limit,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     _source, program, _labels = _load(args.program)
     machine = build_dlx_machine(program, config=_config_for(program, args.dmem_bits))
     pipelined = transform(machine)
@@ -162,14 +179,7 @@ def cmd_discharge(args: argparse.Namespace) -> int:
     report = discharge_jobs(
         pipelined,
         obligations,
-        params=EngineParams(
-            max_k=args.max_k,
-            bmc_bound=args.bmc_bound,
-            trace_cycles=args.cycles,
-            max_retries=args.max_retries,
-            mem_limit_mb=args.mem_limit,
-            cpu_limit_s=args.cpu_limit,
-        ),
+        params=params,
         jobs=args.jobs,
         timeout=args.timeout,
         cache=cache,

@@ -134,7 +134,6 @@ class FamilyCache(Store):
         base_width: int,
         width: int,
         core: str = "",
-        params: Mapping[str, object] | None = None,
     ) -> bool:
         """Store (or widen) a family verdict."""
         if record.status not in _CACHEABLE:
@@ -143,7 +142,7 @@ class FamilyCache(Store):
         return self.save(
             fingerprint,
             {
-                **_record_payload(fingerprint, record, params),
+                **_record_payload(fingerprint, record, None),
                 "base_width": int(base_width),
                 "widths": sorted(widths),
                 "core": core,

@@ -104,6 +104,22 @@ class EngineParams:
     mem_limit_mb: int | None = None
     cpu_limit_s: int | None = None
 
+    def __post_init__(self) -> None:
+        # a trace of no cycles or a negative bound checks nothing, and the
+        # verdict it gave would be cached as if it had
+        for name, floor in (
+            ("trace_cycles", 1),
+            ("max_k", 0),
+            ("bmc_bound", 0),
+            ("liveness_bound", 0),
+            ("max_conflicts", 0),
+        ):
+            value = getattr(self, name)
+            if value is None and name in ("liveness_bound", "max_conflicts"):
+                continue
+            if not isinstance(value, int) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, not {value!r}")
+
     def invariant_params(self) -> dict[str, object]:
         return {
             "max_k": self.max_k,

@@ -32,10 +32,11 @@ content alone — never from ``hash()``, ``id()`` or anything that varies
 with ``PYTHONHASHSEED`` — so equal content gives equal fingerprints in
 every process.
 
-The line serializations (:func:`invariant_lines`, :func:`equivalence_lines`,
-:func:`trace_lines`, :func:`module_lines`) spell the same content out node
-by node, for the width-family analysis (:mod:`repro.analysis.family`),
-which diffs them across instances.
+The line serializations (:func:`invariant_lines`, :func:`trace_lines`,
+:func:`module_lines`) spell the same content out node by node, for the
+width-family analysis (:mod:`repro.analysis.family`), which diffs them
+across instances.  The analysis certifies invariant and trace obligations
+only, so equivalences have a fingerprint and no line form.
 """
 
 from __future__ import annotations
@@ -217,17 +218,6 @@ def fingerprint_invariant(
     lines.extend(_rom_lines(system, support))
     lines.extend(_params_lines(params))
     return _digest(lines)
-
-
-def equivalence_lines(
-    a: E.Expr, b: E.Expr, params: Mapping[str, object] | None = None
-) -> list[str]:
-    """The content :func:`fingerprint_equivalence` digests, spelled out
-    node by node."""
-    lines, index = _serialize_nodes([a, b])
-    lines.append(f"equiv:{index[id(a)]},{index[id(b)]}")
-    lines.extend(_params_lines(params))
-    return lines
 
 
 def fingerprint_equivalence(

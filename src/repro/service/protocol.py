@@ -129,9 +129,12 @@ def resolve_params(
         ):
             raise BadRequest(f"params.{key} must be an integer")
         clean[key] = value
-    params = replace(
-        defaults, **{key: clean[key] for key in KEY_PARAMS if key in clean}
-    )
+    try:
+        params = replace(
+            defaults, **{key: clean[key] for key in KEY_PARAMS if key in clean}
+        )
+    except ValueError as exc:  # out of range: EngineParams.__post_init__
+        raise BadRequest(f"params: {exc}") from None
     return params, clean
 
 

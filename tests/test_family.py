@@ -21,7 +21,6 @@ from repro.analysis.family import (
     FamilyMismatch,
     _declassified,
     _mem_specs,
-    _Sharpener,
     _state_specs,
     _system_typing,
     analyze_family,
@@ -46,7 +45,7 @@ from repro.jobs.cache import FamilyCache
 from repro.lint import Severity, lint_family
 from repro.proofs import generate_obligations
 from repro.proofs.discharge import resolve_properties
-from repro.proofs.obligations import ObligationKind, ObligationSet
+from repro.proofs.obligations import Obligation, ObligationKind, ObligationSet
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +170,6 @@ class TestWidthTyping:
         r0, r1 = build(8), build(16)
         typing = infer_types([r0], [r1], declassify0={id(r0)})
         assert typing.of(r0, r1) is ParamType.ENTANGLED
-
-    def test_sharpen_hook_consulted_above_uniform(self):
-        def build(w):
-            return E.eq(E.input_port("a", w), E.input_port("b", w))
-
-        r0, r1 = build(8), build(16)
-        typing = infer_types([r0], [r1], sharpen=lambda n0, n1, t: True)
-        assert typing.of(r0, r1) is ParamType.UNIFORM
 
     def test_structural_divergence_raises(self):
         r0 = E.add(E.input_port("a", 8), E.input_port("b", 8))
@@ -335,6 +326,34 @@ class TestTemplates:
 # certificates
 # ---------------------------------------------------------------------------
 
+DLX_SPEC_CERTIFIED = {
+    "stall.hazard_blocks_update.0",
+    "stall.hazard_blocks_update.2",
+    "stall.hazard_blocks_update.3",
+    "stall.hazard_blocks_update.4",
+    "stall.no_ue_when_stalled.2",
+    "stall.no_ue_when_stalled.3",
+    "stall.no_ue_when_stalled.4",
+    "stall.propagates.1",
+    "stall.propagates.2",
+    "stall.propagates.3",
+    "stall.squash_blocks_update.3",
+    "stall.squash_blocks_update.4",
+    "stall.stall_implies_full.0",
+    "stall.stall_implies_full.2",
+    "stall.stall_implies_full.3",
+    "stall.stall_implies_full.4",
+    "stall.ue_implies_full.0",
+}
+# dlx-small also certifies the squash guards of stages 0 to 2 and its one
+# hazard-to-stall forwarding invariant
+DLX_SMALL_CERTIFIED = DLX_SPEC_CERTIFIED | {
+    "fwd.dhaz_feeds_stall.DPC.0.2",
+    "stall.squash_blocks_update.0",
+    "stall.squash_blocks_update.1",
+    "stall.squash_blocks_update.2",
+}
+
 
 class TestCertificates:
     def test_toy_fully_certified(self, toy_analysis):
@@ -374,26 +393,29 @@ class TestCertificates:
         assert payload["certified"] == len(toy_analysis.certified())
         assert len(payload["certificates"]) == payload["obligations"]
 
-    def test_dlx_small_stall_group_certified(self):
-        spec = FAMILIES["dlx-small"]
+    def _assert_certified_exactly(self, core, expected, obligations):
+        spec = FAMILIES[core]
         analysis = analyze_family(
             spec, EngineParams(trace_cycles=spec.trace_cycles)
         )
-        certified = {c.oid for c in analysis.certified()}
+        assert len(analysis.certificates) == obligations
         # the stall-engine/forwarding invariant group is the headline:
-        # scheduling is pure control, so it must certify
-        stall_like = {
-            oid
-            for oid, c in analysis.certificates.items()
-            if c.kind == "invariant"
-        }
-        assert len(certified) >= 20
-        assert certified <= stall_like
+        # scheduling is pure control, so it must certify — and nothing
+        # else does, so the set is pinned exactly
+        assert {c.oid for c in analysis.certified()} == expected
+        for oid in expected:
+            assert analysis.certificates[oid].kind == "invariant"
         # the width-entangled remainder stays honest: uncertified with a
         # recorded reason, never a silent drop
         for oid, certificate in analysis.certificates.items():
-            if oid not in certified:
+            if oid not in expected:
                 assert certificate.reason
+
+    def test_dlx_small_stall_group_certified(self):
+        self._assert_certified_exactly("dlx-small", DLX_SMALL_CERTIFIED, 51)
+
+    def test_dlx_spec_stall_group_certified(self):
+        self._assert_certified_exactly("dlx-spec", DLX_SPEC_CERTIFIED, 47)
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +458,8 @@ class TestOneTyping:
         declassify0 = _declassified(pipelined0)
         declassify1 = _declassified(pipelined1)
         typing = _system_typing(
-            pipelined0,
-            pipelined1,
-            system0,
-            system1,
-            invariants,
-            dict(
-                declassify0=declassify0,
-                declassify1=declassify1,
-                sharpen=_Sharpener(pipelined0, pipelined1),
-            ),
+            pipelined0, pipelined1, system0, system1, invariants
         )
-        oracle_sharpen = _Sharpener(pipelined0, pipelined1)
         assert invariants
         for obligation, other in invariants:
             roots0 = [obligation.prop, *obligation.assume]
@@ -463,7 +475,6 @@ class TestOneTyping:
                 mems=_mem_specs(support, pipelined0, pipelined1, system0),
                 declassify0=declassify0,
                 declassify1=declassify1,
-                sharpen=oracle_sharpen,
             )
             restricted = typing.restrict(walk0, walk1)
             assert restricted.order == cone.order, obligation.oid
@@ -488,8 +499,56 @@ class TestOneTyping:
             spec, EngineParams(trace_cycles=spec.trace_cycles)
         )
         assert len(analysis.certified()) == len(analysis.certificates)
-        # toy has no equivalence obligation, the only per-obligation typing
+        # one stateful typing of the paired systems; every certificate
+        # reads its cone off it
         assert calls == [True]
+
+    def test_analyze_family_runs_no_absint_fixpoint(self, monkeypatch):
+        from repro.absint import fixpoint
+
+        calls = []
+        real = fixpoint.analyze
+
+        def counting(module):
+            calls.append(module.name)
+            return real(module)
+
+        monkeypatch.setattr(fixpoint, "analyze", counting)
+        spec = FAMILIES["toy"]
+        analysis = analyze_family(
+            spec, EngineParams(trace_cycles=spec.trace_cycles)
+        )
+        assert len(analysis.certified()) == len(analysis.certificates) == 36
+        assert calls == []
+
+    def test_equivalence_obligation_stays_uncertified(self, monkeypatch):
+        # families use chain forwarding, which emits no equivalence; one
+        # that appears is refused by kind, never sent to the trace gate
+        real = family_module.generate_obligations
+
+        def with_equivalence(pipelined):
+            obligations = real(pipelined)
+            probe = E.input_port("probe", 4)
+            obligations.obligations.append(
+                Obligation(
+                    oid="fwd.style_equivalent.probe",
+                    title="probe",
+                    kind=ObligationKind.EQUIVALENCE,
+                    equiv=(probe, probe),
+                )
+            )
+            return obligations
+
+        monkeypatch.setattr(family_module, "generate_obligations", with_equivalence)
+        spec = FAMILIES["toy"]
+        analysis = analyze_family(
+            spec, EngineParams(trace_cycles=spec.trace_cycles)
+        )
+        certificate = analysis.certificates["fwd.style_equivalent.probe"]
+        assert not certificate.certified
+        assert certificate.reason == "equivalence obligations are not analysed"
+        assert certificate.template is None
+        assert len(analysis.certified()) == 36
 
     def test_system_mismatch_uncertifies_invariants_and_traces(
         self, monkeypatch
@@ -692,7 +751,6 @@ class TestLintFamily:
         analysis = FamilyAnalysis(
             spec=toy_analysis.spec,
             base=toy_analysis.base,
-            check=toy_analysis.check,
             certificates={"stall.bogus": broken},
         )
         result = lint_family(analysis)
@@ -715,7 +773,6 @@ class TestLintFamily:
         analysis = FamilyAnalysis(
             spec=toy_analysis.spec,
             base=toy_analysis.base,
-            check=toy_analysis.check,
             certificates={"lemma.data": honest},
         )
         assert not lint_family(analysis).has_errors

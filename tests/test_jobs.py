@@ -395,6 +395,17 @@ halt:   j    halt
         assert "hit rate" in out
         assert "hit rate" in run.stdout
 
+    def test_out_of_range_params_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "p.s"
+        program.write_text(self.PROGRAM)
+        for flags in (["--max-k", "-1"], ["--bmc-bound", "-1"], ["--cycles", "0"]):
+            assert main(["discharge", str(program), "--no-cache", *flags]) == 2
+        assert main(["verify", str(program), "--cycles", "-3"]) == 2
+        out = capsys.readouterr().out
+        assert "error: trace_cycles must be an integer >= 1, not -3" in out
+
 
 def _small_dlx_pipelined():
     from repro.core import transform

@@ -107,6 +107,12 @@ def test_param_resolution_rejects_unknown_and_mistyped():
         protocol.resolve_params(defaults, {"family": 1})
     with pytest.raises(BadRequest):
         protocol.resolve_params(defaults, ["max_k"])
+    # out of range: a bound or a trace that checks nothing is a 400, not
+    # a vacuous "bounded"/"trace-ok" verdict cached under its own key
+    with pytest.raises(BadRequest, match="bmc_bound"):
+        protocol.resolve_params(defaults, {"max_k": 0, "bmc_bound": -1})
+    with pytest.raises(BadRequest, match="trace_cycles"):
+        protocol.resolve_params(defaults, {"trace_cycles": -3})
     # knobs the engine no longer has are unknown keys like any other
     for gone in ("lanes", "share", "incremental", "sweep_frames", "ladder"):
         with pytest.raises(BadRequest):
@@ -120,6 +126,20 @@ def test_param_resolution_rejects_unknown_and_mistyped():
     assert clean == {"max_k": 3, "family": False}
     # server-side robustness knobs survive untouched
     assert params.max_retries == defaults.max_retries
+
+
+def test_engine_params_reject_out_of_range_values():
+    EngineParams(max_k=0, bmc_bound=0, trace_cycles=1, liveness_bound=0)
+    for bad in (
+        {"trace_cycles": 0},
+        {"max_k": -1},
+        {"bmc_bound": -1},
+        {"liveness_bound": -1},
+        {"max_conflicts": -1},
+        {"max_k": None},
+    ):
+        with pytest.raises(ValueError):
+            EngineParams(**bad)
 
 
 def test_job_key_tracks_verdict_relevant_params_only():
