@@ -19,8 +19,12 @@ on a loaded runner swamps the few-percent effect being measured.
 
 The full configuration asserts the headline claims: the ladder-only
 obligations flip to ``proved``, and mining does not regress the cold
-wall-clock by more than 5% (here it is a net win: three ``bmc(8)`` runs
-cost more than mining plus three 1-inductions).  The smoke configuration
+wall-clock by more than 5%.  Since memories became arrays in the
+unroller, the second claim fails: the three ``bmc(8)`` runs no longer
+blast a 1,024-word data memory per frame, so the leg without mining
+takes about 0.18 s, and mining plus three 1-inductions about 1.15-1.4x
+that (it was a net win, 0.68-0.73x, while every frame expanded the
+memory into words).  The smoke configuration
 (``REPRO_BENCH_SMOKE=1``) shrinks the memories so the whole comparison
 runs in seconds; its baseline is then so small that fixed mining cost
 dominates, so the smoke run asserts only the status transition, not the
@@ -110,12 +114,7 @@ def test_absint_injection():
     assert len(mining.proven) >= 1
 
     ratio = min(walls[True]) / min(walls[False])
-    if not SMOKE:
-        assert ratio <= MAX_RATIO, (
-            f"mining regressed cold discharge by {(ratio - 1) * 100:.1f}%"
-            f" (walls with={walls[True]}, without={walls[False]})"
-        )
-
+    # recorded before the gate, so a failing run still leaves its figures
     report_json(
         "absint",
         {
@@ -151,3 +150,8 @@ def test_absint_injection():
         },
         title="E14: absint invariant mining vs. plain discharge",
     )
+    if not SMOKE:
+        assert ratio <= MAX_RATIO, (
+            f"mining regressed cold discharge by {(ratio - 1) * 100:.1f}%"
+            f" (walls with={walls[True]}, without={walls[False]})"
+        )

@@ -6,8 +6,8 @@ Measurements over the full obligation set of the small pipelined DLX:
    machine's CPU count, then **warm cache** — the same call again, which
    must hit the cache for (almost) every obligation;
 2. **timeout degradation** — a per-obligation budget chosen to cut off
-   the one expensive obligation (``lemma1.full_iff_diff``, ~0.45 s against
-   at most ~0.18 s for every other obligation on a 2-vCPU x86-64 host): it
+   the one expensive obligation (``lemma1.full_iff_diff``, ~0.2 s against
+   at most ~0.07 s for every other obligation on a 2-vCPU x86-64 host): it
    must end ``unknown`` while every other obligation still completes.  The
    budget is the geometric mean of lemma 1's seconds and the slowest other
    obligation's in the cold run on the host at hand, so it follows the

@@ -36,7 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # them as version skew instead of leaving them on disk
 # 3: keys hash trace_cycles alone, not the whole set of mining knobs, so
 # every version-2 record is unreachable for the same reason
-CACHE_VERSION = 3
+# 4: keys carry ENGINE_VERSION 5 (memories as arrays), so every version-3
+# record is unreachable; the mined sets themselves did not change
+CACHE_VERSION = 4
 
 
 class InvariantCache(Store):

@@ -424,10 +424,18 @@ def _rewrite_meta(line: str, remap: list[int | None]) -> str:
     if line.startswith("port:"):
         body, en, addr, data = line.rsplit(":", 3)
         return f"{body}:{ref(en)}:{ref(addr)}:{ref(data)}"
+    if line.startswith("array:"):
+        body, ports = line.rsplit(":", 1)
+        if not ports:
+            return line
+        return body + ":" + ";".join(
+            ",".join(ref(token) for token in port.split(","))
+            for port in ports.split(";")
+        )
     if line.startswith("probe:"):
         body, probe_ref = line.rsplit(":", 1)
         return f"{body}:{ref(probe_ref)}"
-    # rom:/param:/trace:/module:/input:/mem: carry no node references
+    # param:/trace:/module:/input:/mem: carry no node references
     return line
 
 
@@ -533,10 +541,13 @@ class FamilyAnalysis:
 
 
 def _state_specs(
-    support: Sequence[str], system0: TransitionSystem, system1: TransitionSystem
+    names: Sequence[str], system0: TransitionSystem, system1: TransitionSystem
 ) -> list[StateSpec]:
+    """The registers among ``names``, paired."""
     specs = []
-    for name in support:
+    for name in names:
+        if name in system0.mems:
+            continue
         v0, v1 = system0.var(name), system1.var(name)
         specs.append(
             StateSpec(
@@ -553,32 +564,39 @@ def _state_specs(
 
 
 def _mem_specs(
-    support: Sequence[str],
-    pipelined0: PipelinedMachine,
-    pipelined1: PipelinedMachine,
-    system0: TransitionSystem,
+    names: Sequence[str], system0: TransitionSystem, system1: TransitionSystem
 ) -> list[MemSpec]:
-    by_mem: dict[str, list[str]] = {}
-    for name in support:
-        if "[" in name:
-            by_mem.setdefault(name.split("[")[0], []).append(name)
+    """The memories among ``names``, paired; a memory whose shape or port
+    count differs across the instances cannot be paired."""
     specs = []
-    for mem in sorted(by_mem):
-        m0 = pipelined0.module.memories[mem]
-        m1 = pipelined1.module.memories[mem]
+    for name in names:
+        m0 = system0.mems.get(name)
+        if m0 is None:
+            continue
+        m1 = system1.mems[name]
+        if m0.addr_width != m1.addr_width or len(m0.ports) != len(m1.ports):
+            raise PairMismatch(f"memory {name} differs in shape across widths")
         specs.append(
             MemSpec(
-                name=mem,
+                name=name,
                 width0=m0.data_width,
                 width1=m1.data_width,
-                rom=mem in system0.constant_mems,
-                init_equal=(
-                    m0.addr_width == m1.addr_width and m0.init == m1.init
+                rom=name in system0.constant_mems,
+                init_equal=m0.init == m1.init,
+                ports0=tuple(
+                    (port.enable, port.addr, port.data) for port in m0.ports
                 ),
-                word_vars=tuple(sorted(by_mem[mem])),
+                ports1=tuple(
+                    (port.enable, port.addr, port.data) for port in m1.ports
+                ),
             )
         )
     return specs
+
+
+def _element_width(system: TransitionSystem, name: str) -> int:
+    mem = system.mems.get(name)
+    return system.var(name).width if mem is None else mem.data_width
 
 
 def _declassified(pipelined: PipelinedMachine) -> set[int]:
@@ -670,19 +688,20 @@ def _system_typing(
 ) -> ConeTyping:
     """One typing of the paired transition systems.
 
-    Its roots are every state variable's next function, the trace
-    roots, and the property and assumptions of every invariant pair
-    whose root counts match (the others fail when restricted).  Every
-    invariant and trace certificate reads its cone off this typing.
-    The only nets forced to ``UNIFORM`` are each instance's
-    :func:`_declassified` channels.
+    Its roots are every register's next function, every memory's write
+    ports, the trace roots, and the property and assumptions of every
+    invariant pair whose root counts match (the others fail when
+    restricted).  Every invariant and trace certificate reads its cone
+    off this typing.  The only nets forced to ``UNIFORM`` are each
+    instance's :func:`_declassified` channels.
     """
-    names = [var.name for var in system0.state]
-    if sorted(names) != sorted(var.name for var in system1.state):
+    names = [var.name for var in system0.state] + list(system0.mems)
+    if sorted(names) != sorted(
+        [var.name for var in system1.state] + list(system1.mems)
+    ):
         raise PairMismatch("state variables differ across widths")
-    states = _state_specs(names, system0, system1)
-    roots0 = [spec.next0 for spec in states] + _trace_roots(pipelined0)
-    roots1 = [spec.next1 for spec in states] + _trace_roots(pipelined1)
+    roots0 = system0.roots_of(names) + _trace_roots(pipelined0)
+    roots1 = system1.roots_of(names) + _trace_roots(pipelined1)
     for obligation, other in invariants:
         if len(obligation.assume) == len(other.assume):
             roots0 += [obligation.prop, *obligation.assume]
@@ -690,8 +709,8 @@ def _system_typing(
     return infer_types(
         roots0,
         roots1,
-        states=states,
-        mems=_mem_specs(names, pipelined0, pipelined1, system0),
+        states=_state_specs(names, system0, system1),
+        mems=_mem_specs(names, system0, system1),
         declassify0=_declassified(pipelined0),
         declassify1=_declassified(pipelined1),
     )
@@ -705,9 +724,10 @@ def analyze_family(
 
     Builds the base- and check-width instances and types their paired
     transition systems once (:func:`_system_typing`).  Each invariant
-    certificate reads its cone — the property, the assumptions and the
-    next functions of their support — off that typing, and each trace
-    certificate the module roots plus the stall-engine signals.
+    certificate reads its cone — the property, the assumptions, and the
+    next functions and write ports of their support — off that typing,
+    and each trace certificate the module roots plus the stall-engine
+    signals.
     Width-generic templates are then erased against a third
     (template-width) instance, and one certificate is emitted per
     obligation.  Families are built with chain forwarding, which emits
@@ -794,11 +814,11 @@ def analyze_family(
                 scaled_support = sum(
                     1
                     for name in support
-                    if system0.var(name).width != system1.var(name).width
+                    if _element_width(system0, name) != _element_width(system1, name)
                 )
                 typing = system_typing.restrict(
-                    roots0 + [system0.var(n).next for n in support],
-                    roots1 + [system1.var(n).next for n in support],
+                    roots0 + system0.roots_of(support),
+                    roots1 + system1.roots_of(support),
                 )
                 failure = _gate_roots(typing, roots0, roots1)
             else:

@@ -38,15 +38,18 @@ the same value?  Structural divergence between the instances
 :class:`PairMismatch`, which callers treat as "not certifiable": the
 analysis fails safe.
 
-State elements are the variables of a transition system
-(:class:`repro.formal.bmc.TransitionSystem`): every register and every
-memory word, each with its update condition folded into its next
-function (a register's enable and a word's write ports become the
-select of a hold mux).  They are typed by a Kleene fixpoint: every
-element starts at the type of its (width-independent) reset value and
-is joined with the type of its next function until stable — the
-forward may-analysis over the four-point lattice, monotone and
-therefore terminating.  A fixpoint over a whole paired system types
+State elements are those of a transition system
+(:class:`repro.formal.bmc.TransitionSystem`): every register, with its
+enable folded into its next function as the select of a hold mux, and
+every memory, typed once as a whole (every word of a memory shares one
+type).  They are typed by a Kleene fixpoint: every element starts at the
+type of its (width-independent) reset contents and is joined with the
+type of what a step stores in it until stable — a register's next
+function; for a memory, each write port's data, or ``ENTANGLED`` when a
+port's enable or address is not uniform, since the port then writes
+different words in different family members.  This is the forward
+may-analysis over the four-point lattice, monotone and therefore
+terminating.  A fixpoint over a whole paired system types
 every cone of it: a cone is closed under dependency, so
 :meth:`ConeTyping.restrict` reads any cone's types off the one typing.
 
@@ -92,9 +95,8 @@ class PairMismatch(Exception):
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One transition-system variable under the fixpoint, paired across
-    instances: a register or a memory word, whose ``next`` function
-    already folds in its update condition."""
+    """One register under the fixpoint, paired across instances; its
+    ``next`` function already folds in its enable."""
 
     name: str
     width0: int
@@ -107,12 +109,12 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class MemSpec:
-    """One memory, paired across instances.
+    """One memory under the fixpoint, paired across instances.
 
-    ``rom`` memories have fixed contents; ``init_equal`` says the word
-    dictionaries are identical across the two instances.  ``word_vars``
-    names the per-word :class:`StateSpec` entries, whose types a read of
-    a writable memory joins.
+    ``rom`` memories have fixed contents; ``init_equal`` says the reset
+    words are identical across the two instances.  ``ports0`` and
+    ``ports1`` are the write ports' ``(enable, addr, data)`` triples,
+    matched by position.
     """
 
     name: str
@@ -120,7 +122,8 @@ class MemSpec:
     width1: int
     rom: bool = False
     init_equal: bool = True
-    word_vars: tuple[str, ...] = ()
+    ports0: tuple[tuple[E.Expr, E.Expr, E.Expr], ...] = ()
+    ports1: tuple[tuple[E.Expr, E.Expr, E.Expr], ...] = ()
 
 
 def _rle(parts: Sequence[E.Expr]) -> list[tuple[E.Expr, int]]:
@@ -249,7 +252,7 @@ def pair_nodes(
 class ConeTyping:
     """The inferred types of one paired cone: one per node pair, in
     :func:`pair_nodes` order, plus ``env``, the stable type of every
-    state variable."""
+    register and memory."""
 
     order: list[tuple[E.Expr, E.Expr]] = field(repr=False)
     index: dict[tuple[int, int], int] = field(repr=False)
@@ -297,11 +300,12 @@ def infer_types(
 ) -> ConeTyping:
     """Infer parametricity types over a paired cone.
 
-    ``roots`` must include the next function of every state variable
-    named by ``states`` (matched across instances), so the bisimulation
-    reaches them.  ``declassify*`` are ``id()`` sets of nets forced to
-    ``UNIFORM`` (a pair is declassified only when *both* sides are
-    listed, keeping the pairing honest).
+    ``roots`` must include the next function of every register named by
+    ``states`` and the write ports of every memory named by ``mems``
+    (matched across instances), so the bisimulation reaches them.
+    ``declassify*`` are ``id()`` sets of nets forced to ``UNIFORM`` (a
+    pair is declassified only when *both* sides are listed, keeping the
+    pairing honest).
 
     Raises :class:`PairMismatch` on structural divergence.
     """
@@ -317,11 +321,11 @@ def infer_types(
         return ParamType.ENTANGLED
 
     env: dict[str, ParamType] = {spec.name: init_type(spec) for spec in states}
-    # the type of each memory's initial contents
-    mem_init: dict[str, ParamType] = {
-        spec.name: (ParamType.CONST if spec.init_equal else ParamType.ENTANGLED)
-        for spec in mems
-    }
+    # a memory's type starts at that of its reset contents
+    for spec in mems:
+        env[spec.name] = (
+            ParamType.CONST if spec.init_equal else ParamType.ENTANGLED
+        )
 
     def free_leaf(n0: E.Expr, n1: E.Expr) -> ParamType:
         return (
@@ -330,16 +334,6 @@ def infer_types(
 
     def eval_all() -> list[ParamType]:
         result: list[ParamType] = []
-
-        # the joined type of a writable memory's contents is fixed for
-        # one evaluation pass; folding it per MemRead pair would be
-        # quadratic in word count (the DLX data memory has thousands)
-        mem_word: dict[str, ParamType] = {
-            spec.name: join(
-                mem_init[spec.name], *(env[var] for var in spec.word_vars)
-            )
-            for spec in mems
-        }
 
         def t(c0: E.Expr, c1: E.Expr) -> ParamType:
             return result[index[(id(c0), id(c1))]]
@@ -370,14 +364,16 @@ def infer_types(
                     spec = mem_by_name.get(n0.mem)
                     if spec is None:
                         base = free_leaf(n0, n1)
-                    elif spec.rom:
-                        base = mem_init[n0.mem]
+                    else:
+                        base = env[n0.mem]
                         # fixed, equal contents read at a uniform address
                         # give the *same word* in every member
-                        if base is ParamType.CONST and t_addr > ParamType.CONST:
+                        if (
+                            spec.rom
+                            and base is ParamType.CONST
+                            and t_addr > ParamType.CONST
+                        ):
                             base = ParamType.UNIFORM
-                    else:
-                        base = mem_word[n0.mem]
                     computed = join(base, t_addr)
             elif isinstance(n0, E.Unary):
                 ta = t(n0.a, n1.a)
@@ -501,20 +497,40 @@ def infer_types(
             result.append(computed)
         return result
 
+    def stored(types: list[ParamType], spec: MemSpec) -> ParamType:
+        """The type of what one step stores in a memory: each port's
+        data, unless a port's enable or address differs by width."""
+        new = env[spec.name]
+        for (en0, addr0, data0), (en1, addr1, data1) in zip(
+            spec.ports0, spec.ports1
+        ):
+            select = join(
+                types[index[(id(en0), id(en1))]],
+                types[index[(id(addr0), id(addr1))]],
+            )
+            if select > ParamType.UNIFORM:
+                return ParamType.ENTANGLED
+            new = join(new, types[index[(id(data0), id(data1))]])
+        return new
+
     types: list[ParamType] = []
     iterations = 0
-    limit = 3 * len(states) + 2
+    limit = 3 * (len(states) + len(mems)) + 2
     while True:
         iterations += 1
         if iterations > limit:  # pragma: no cover - monotone, bounded
             raise AssertionError("parametricity fixpoint failed to converge")
         types = eval_all()
+        updates = [
+            (spec.name, types[index[(id(spec.next0), id(spec.next1))]])
+            for spec in states
+        ]
+        updates += [(spec.name, stored(types, spec)) for spec in mems]
         changed = False
-        for spec in states:
-            t_next = types[index[(id(spec.next0), id(spec.next1))]]
-            new = join(env[spec.name], t_next)
-            if new != env[spec.name]:
-                env[spec.name] = new
+        for name, t_step in updates:
+            new = join(env[name], t_step)
+            if new != env[name]:
+                env[name] = new
                 changed = True
         if not changed:
             break

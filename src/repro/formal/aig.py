@@ -237,7 +237,9 @@ class CnfEmitter:
 
 Vec = list[int]  # literal vector, LSB first
 
-MemEnv = Callable[[str], Sequence[Vec]]
+# Lowers a read of the named memory at an address vector to the data
+# vector (the unroller's array encoding supplies one per frame).
+MemReader = Callable[[str, Vec], Vec]
 
 
 class BlastError(ValueError):
@@ -247,14 +249,12 @@ class BlastError(ValueError):
 class BitBlaster:
     """Lowers expression DAGs to AIG literal vectors.
 
-    The environment supplies vectors for ``RegRead`` and ``Input`` leaves
-    and, via ``mem_words``, the per-word vectors of each memory (used to
-    build mux trees for ``MemRead``).  ``mem_words`` values may be dense
-    sequences (index = address; shorter-than-memory lists read as zero
-    beyond the end) or sparse ``{address: vector}`` mappings as produced by
-    cone-of-influence slicing — sparse memories may only be read at constant
-    addresses that are actually materialised (anything else is a slicing
-    bug and raises :class:`BlastError`).
+    The environment supplies vectors for ``RegRead`` and ``Input`` leaves.
+    A ``MemRead`` lowers through ``read_mem`` when one is given (the
+    unroller's write-chain encoding, :class:`repro.formal.bmc.Unroller`);
+    otherwise ``mem_words`` gives each memory's words as a dense sequence
+    (index = address; a shorter-than-memory list reads as zero beyond the
+    end) and the read is a mux tree over them.
 
     The memo maps each blasted node (keyed by the node itself, so it keeps
     every key alive) to its vector and lives as long as the blaster:
@@ -269,19 +269,17 @@ class BitBlaster:
         aig: Aig,
         regs: Mapping[str, Vec] | None = None,
         inputs: Mapping[str, Vec] | None = None,
-        mem_words: Mapping[str, Sequence[Vec] | Mapping[int, Vec]] | None = None,
+        mem_words: Mapping[str, Sequence[Vec]] | None = None,
+        read_mem: MemReader | None = None,
     ) -> None:
         self.aig = aig
         self.regs = dict(regs or {})
         self.inputs = dict(inputs or {})
-        self.mem_words: dict[str, dict[int, Vec]] = {}
-        self._mem_sparse: set[str] = set()
-        for name, words in (mem_words or {}).items():
-            if isinstance(words, Mapping):
-                self.mem_words[name] = {a: list(w) for a, w in words.items()}
-                self._mem_sparse.add(name)
-            else:
-                self.mem_words[name] = {a: list(w) for a, w in enumerate(words)}
+        self.mem_words: dict[str, dict[int, Vec]] = {
+            name: {a: list(w) for a, w in enumerate(words)}
+            for name, words in (mem_words or {}).items()
+        }
+        self._read_mem = read_mem
         self._memo: dict[E.Expr, Vec] = {}
 
     def blast(self, root: E.Expr) -> Vec:
@@ -293,15 +291,7 @@ class BitBlaster:
             vec = memo[root]
         return vec
 
-    def blast_bit(self, root: E.Expr) -> int:
-        if root.width != 1:
-            raise BlastError(f"expected 1-bit expression, got width {root.width}")
-        return self.blast(root)[0]
-
     # -- helpers ---------------------------------------------------------------
-
-    def _const_vec(self, width: int, value: int) -> Vec:
-        return [TRUE if (value >> i) & 1 else FALSE for i in range(width)]
 
     def _adder(self, a: Vec, b: Vec, carry_in: int) -> tuple[Vec, int]:
         g = self.aig
@@ -330,7 +320,7 @@ class BitBlaster:
         """Shift-add array multiplier (low ``width`` bits of the product)."""
         g = self.aig
         width = len(a)
-        acc = self._const_vec(width, 0)
+        acc = const_bits(0, width)
         for i, bit_lit in enumerate(b):
             if bit_lit == FALSE:
                 continue
@@ -362,39 +352,12 @@ class BitBlaster:
         return [g.mux_(big, fill, bitlit) for bitlit in result]
 
     def _mem_mux(self, mem: str, addr: Vec, width: int) -> Vec:
-        g = self.aig
-        words = self.mem_words[mem]
-        if all(lit in (FALSE, TRUE) for lit in addr):
-            # constant address: select the word directly, no mux tree
-            index = sum(1 << i for i, lit in enumerate(addr) if lit == TRUE)
-            word = words.get(index)
-            if word is not None:
-                return list(word)
-            if mem in self._mem_sparse:
-                raise BlastError(
-                    f"memory {mem!r}: word {index} not materialised"
-                    " (cone-of-influence slicing bug)"
-                )
-            return self._const_vec(width, 0)
-        size = 1 << len(addr)
-        if mem in self._mem_sparse and any(a not in words for a in range(size)):
-            raise BlastError(
-                f"memory {mem!r}: symbolic read of a sparsely materialised"
-                " memory (cone-of-influence slicing bug)"
-            )
-        level = [
-            list(words[a]) if a in words else self._const_vec(width, 0)
-            for a in range(size)
-        ]
-        for addr_bit in addr:
-            level = [
-                [
-                    g.mux_(addr_bit, hi[i], lo[i])
-                    for i in range(width)
-                ]
-                for lo, hi in zip(level[0::2], level[1::2])
-            ]
-        return level[0]
+        words = self.mem_words.get(mem)
+        if words is None:
+            raise BlastError(f"unbound memory {mem!r}")
+        return mux_tree(
+            self.aig, [words.get(a, 0) for a in range(1 << len(addr))], addr, width
+        )
 
     # -- node dispatch ----------------------------------------------------------
 
@@ -402,7 +365,7 @@ class BitBlaster:
         g = self.aig
         memo = self._memo
         if isinstance(node, E.Const):
-            return self._const_vec(node.width, node.value)
+            return const_bits(node.value, node.width)
         if isinstance(node, E.RegRead):
             vec = self.regs.get(node.name)
             if vec is None:
@@ -418,8 +381,8 @@ class BitBlaster:
                 raise BlastError(f"input {node.name!r}: vector width mismatch")
             return list(vec)
         if isinstance(node, E.MemRead):
-            if node.mem not in self.mem_words:
-                raise BlastError(f"unbound memory {node.mem!r}")
+            if self._read_mem is not None:
+                return self._read_mem(node.mem, memo[node.addr])
             return self._mem_mux(node.mem, memo[node.addr], node.width)
         if isinstance(node, E.Unary):
             a = memo[node.a]
@@ -427,7 +390,7 @@ class BitBlaster:
                 return [g.neg(x) for x in a]
             if node.op == "NEG":
                 out, _ = self._adder(
-                    [g.neg(x) for x in a], self._const_vec(len(a), 0), TRUE
+                    [g.neg(x) for x in a], const_bits(0, len(a)), TRUE
                 )
                 return out
             if node.op == "REDOR":
@@ -486,6 +449,41 @@ class BitBlaster:
         if isinstance(node, E.Slice):
             return memo[node.a][node.low : node.high + 1]
         raise AssertionError(type(node).__name__)
+
+
+def mux_tree(aig: Aig, words: Sequence[Vec | int], addr: Vec, width: int) -> Vec:
+    """The ``width``-bit word ``addr`` selects from ``words`` (index =
+    address).
+
+    Each level of the tree pairs neighbouring words on one address bit,
+    least significant first.  A word may be an ``int`` constant: a pair of
+    equal constants folds to one without touching the AIG, so a tree over
+    mostly equal constants (a NOP-filled ROM) does work only where
+    neighbours differ.  A constant address selects its word directly.
+    """
+    if all(lit in (FALSE, TRUE) for lit in addr):
+        index = sum(1 << i for i, lit in enumerate(addr) if lit == TRUE)
+        return list(const_bits(words[index], width))
+    level = list(words)
+    for bit in addr:
+        level = [
+            lo
+            if lo == hi
+            else [
+                aig.mux_(bit, h, l)
+                for l, h in zip(const_bits(lo, width), const_bits(hi, width))
+            ]
+            for lo, hi in zip(level[0::2], level[1::2])
+        ]
+    return list(const_bits(level[0], width))
+
+
+def const_bits(word: Vec | int, width: int) -> Vec:
+    """``word`` as a literal vector: an ``int`` becomes its ``width``-bit
+    constant, a vector passes through."""
+    if isinstance(word, int):
+        return [TRUE if (word >> i) & 1 else FALSE for i in range(width)]
+    return word
 
 
 def fresh_vec(aig: Aig, width: int) -> Vec:

@@ -1,14 +1,29 @@
 """Bounded model checking and k-induction over HDL modules.
 
-A :class:`TransitionSystem` is extracted from a :class:`repro.hdl.Module`:
-registers and (expanded) memory words form the state, and each state
-element's next-value is a single expression — ``mux(enable, next, hold)``
-for registers, a write-port fold for memory words.
+A :class:`TransitionSystem` is extracted from a :class:`repro.hdl.Module`.
+Its state is the registers and the memories.  A register's next value is
+one expression, ``mux(enable, next, hold)``; a memory stays one array,
+its reset words, its write ports and whether it is a ROM
+(:class:`ArrayVar`).
 
 :func:`bmc` searches for a property violation within ``k`` steps from the
 initial state; :func:`k_induction` proves a property invariant by the
 standard base + inductive-step scheme.  Both bit-blast the unrolling to CNF
 and use the CDCL solver from :mod:`repro.formal.sat`.
+
+Memories are encoded lazily, after the embedded-memory BMC model of Ganai,
+Gupta and Ashar (CAV 2004): the unrolling never expands a memory into
+words.  A read in frame ``t`` is a priority chain over the memory's writes
+in frames ``0..t-1``, the newest outermost (within one frame the later
+port outermost, as later ports win a collision), that ends in a *base
+read* of the frame-0 contents.  When those contents are known (a reset
+frame, or a memory in :attr:`TransitionSystem.constant_mems` in any
+frame) the base read is a mux over the reset words, which folds to a
+constant where they agree.  Otherwise it is one fresh vector per distinct
+address vector, tied to the memory's other base reads by
+``addr_i = addr_j → data_i = data_j``; those ties are the unrolling's
+:attr:`Unroller.constraints`, which every engine must assert.  The
+encoding is exact: it admits the same runs as one state variable per word.
 
 By default the hot path is **incremental** end-to-end: an
 :class:`IncrementalUnroller` owns one AIG and one solver for a whole query,
@@ -20,14 +35,14 @@ literal is activated through a solver *assumption*, so ``bmc``,
 The incremental engine is a one-member
 :class:`repro.formal.shared.SharedContext`, the same checker that
 discharges whole obligation groups.  Before any unrolling, the transition
-system is sliced to the property's cone of influence at state-variable
-granularity (individual memory words for constant-address reads).  Pass
-``incremental=False`` to run the one-shot engines instead: they are the
-test oracle, and both must agree on every verdict (the differential suite
-in ``tests/test_bmc_incremental.py`` holds them to it).  Both engines
-decide the AIG of the same :class:`repro.formal.aig.BitBlaster`, so their
-agreement checks the unrolling, the CNF and the search, never the
-bit-blaster itself; a comparison against simulation does that.
+system is sliced to the property's cone of influence, one node per
+register and per memory.  Pass ``incremental=False`` to run the one-shot
+engines instead: they are the test oracle, and both must agree on every
+verdict (the differential suite in ``tests/test_bmc_incremental.py``
+holds them to it).  Both engines decide the AIG of the same unrolling, so
+their agreement checks the CNF and the search, never the memory encoding
+or the bit-blaster; ``tests/test_memory_encoding.py`` checks those against
+a word-per-variable encoding and against simulation.
 
 This engine is what discharges the hardware-level proof obligations the
 transformation tool emits (the role PVS played for the paper's authors).
@@ -36,16 +51,19 @@ transformation tool emits (the role PVS played for the paper's authors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..hdl import expr as E
-from ..hdl.netlist import Module
+from ..hdl.netlist import Module, WritePort
 from .aig import (
     Aig,
     BitBlaster,
+    BlastError,
     CnfEmitter,
     Vec,
+    const_bits,
     fresh_vec,
+    mux_tree,
     to_cnf,
 )
 from .sat import SatResult, Solver
@@ -59,17 +77,46 @@ from .sat import SatResult, Solver
 # 4: width-parametric family verdicts (repro.analysis) — family-certified
 # obligations may be served from a family cache keyed by width-erased
 # templates, so the universe of entries a fingerprint can alias changed.
-ENGINE_VERSION = 4
+# 5: memories are arrays (write chains over base reads): the CNF of every
+# cone that holds a written memory changed, and fingerprints carry one
+# row per memory instead of one per word.
+ENGINE_VERSION = 5
 
 
 @dataclass(frozen=True)
 class StateVar:
-    """One element of the transition system's state vector."""
+    """One register of the transition system's state vector."""
 
     name: str
     width: int
     init: int
     next: E.Expr
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayVar:
+    """One memory of the transition system's state, kept whole.
+
+    ``init`` maps each address with a nonzero reset word to that word
+    (every other word resets to 0).  ``ports`` are the write ports in
+    priority order: a later port wins an address collision.  A memory
+    with no write port is a ROM.
+    """
+
+    name: str
+    addr_width: int
+    data_width: int
+    init: Mapping[int, int]
+    ports: tuple[WritePort, ...]
+
+    @property
+    def rom(self) -> bool:
+        return not self.ports
+
+    def roots(self) -> list[E.Expr]:
+        """What one step of the memory reads: each port's enable,
+        address and data, in port order."""
+        return [e for port in self.ports for e in (port.enable, port.addr, port.data)]
 
 
 class TransitionSystem:
@@ -79,37 +126,43 @@ class TransitionSystem:
         self,
         state: list[StateVar],
         inputs: dict[str, int],
-        mem_shapes: dict[str, tuple[int, int]],
+        mems: Iterable[ArrayVar] = (),
     ) -> None:
         self.state = state
         self.inputs = inputs
-        # memory name -> (addr_width, data_width); words appear in `state`
-        # under the names "mem[idx]".
-        self.mem_shapes = mem_shapes
-        self.mem_word_names = {
-            f"{mem}[{addr}]"
-            for mem, (addr_width, _dw) in mem_shapes.items()
-            for addr in range(1 << addr_width)
+        self.mems: dict[str, ArrayVar] = {mem.name: mem for mem in mems}
+        # Memories whose contents are known in every frame, even when the
+        # initial frame is otherwise unconstrained: the ROMs.  Sound,
+        # since a ROM keeps its reset words in every reachable state.
+        self.constant_mems: set[str] = {
+            mem.name for mem in self.mems.values() if mem.rom
         }
-        # Memories with no write ports (ROMs); their words stay constant
-        # even when the initial frame is otherwise unconstrained.
-        self.constant_mems: set[str] = set()
         self._by_name = {var.name: var for var in state}
         self._closure: DependencyClosure | None = None
 
     def var(self, name: str) -> StateVar:
         return self._by_name[name]
 
+    def roots_of(self, names: Iterable[str]) -> list[E.Expr]:
+        """What one step of the named state elements reads, in order: a
+        register's next function, a memory's :meth:`ArrayVar.roots`."""
+        roots: list[E.Expr] = []
+        for name in names:
+            mem = self.mems.get(name)
+            if mem is None:
+                roots.append(self._by_name[name].next)
+            else:
+                roots.extend(mem.roots())
+        return roots
+
     def cone_of_influence(self, roots: list[E.Expr]) -> set[str]:
-        """State-variable names transitively needed to evaluate ``roots``
-        across any number of steps.
+        """Names of the registers and memories transitively needed to
+        evaluate ``roots`` across any number of steps.
 
-        The slice is at *variable* granularity: a memory read at a constant
-        address only pulls in that word, so properties over individual
-        memory locations do not drag the whole memory into every frame.  A
-        symbolic (non-constant) read still needs the full memory.
+        A memory is one element: any read of it, at a constant address or
+        not, pulls in the whole memory and so its write-port logic.
 
-        The first call closes the state variables' dependency graph
+        The first call closes the state elements' dependency graph
         (:class:`DependencyClosure`); every call after that only reads
         what ``roots`` read directly and unions their closures.
         """
@@ -120,86 +173,56 @@ class TransitionSystem:
     @classmethod
     def from_module(cls, module: Module) -> "TransitionSystem":
         module.validate()
-        state: list[StateVar] = []
-        constant_mems: set[str] = set()
-        for name, reg in module.registers.items():
-            hold = E.reg_read(name, reg.width)
-            state.append(
-                StateVar(
-                    name=name,
-                    width=reg.width,
-                    init=reg.init,
-                    next=E.mux(reg.enable, reg.next, hold),
-                )
+        state = [
+            StateVar(
+                name=name,
+                width=reg.width,
+                init=reg.init,
+                next=E.mux(reg.enable, reg.next, E.reg_read(name, reg.width)),
             )
-        mem_shapes: dict[str, tuple[int, int]] = {}
-        for name, memory in module.memories.items():
-            mem_shapes[name] = (memory.addr_width, memory.data_width)
-            if not memory.write_ports:
-                # A ROM: constant in every reachable state, so it is kept
-                # constant even in induction frames (sound and much cheaper).
-                constant_mems.add(name)
-            for addr in range(memory.size):
-                hold: E.Expr = E.mem_read(
-                    name, E.const(memory.addr_width, addr), memory.data_width
-                )
-                value = hold
-                for port in memory.write_ports:
-                    selected = E.band(
-                        port.enable, E.eq(port.addr, E.const(memory.addr_width, addr))
-                    )
-                    value = E.mux(selected, port.data, value)
-                state.append(
-                    StateVar(
-                        name=f"{name}[{addr}]",
-                        width=memory.data_width,
-                        init=memory.init.get(addr, 0),
-                        next=value,
-                    )
-                )
-        system = cls(state, dict(module.inputs), mem_shapes)
-        system.constant_mems = constant_mems
-        return system
+            for name, reg in module.registers.items()
+        ]
+        mems = [
+            ArrayVar(
+                name=name,
+                addr_width=memory.addr_width,
+                data_width=memory.data_width,
+                init={a: v for a, v in sorted(memory.init.items()) if v},
+                ports=tuple(memory.write_ports),
+            )
+            for name, memory in module.memories.items()
+        ]
+        return cls(state, dict(module.inputs), mems)
 
 
 class DependencyClosure:
-    """The transitive dependencies of every state variable, built once.
+    """The transitive dependencies of every state element, built once.
 
-    Graph nodes are the state variables plus one node per memory that
-    stands for *all* of its words: a symbolic read of memory ``M`` is one
-    edge to that node, which has an edge to each word.  Sets of graph
-    nodes are bitsets (Python ints) over their indices.
+    Graph nodes are the registers and the memories, one node each.  A
+    register's edges are what its next function reads; a memory's are
+    what its write ports read (a read of a memory, at any address, is an
+    edge to the memory).  Sets of graph nodes are bitsets (Python ints)
+    over their indices.
 
-    * One bottom-up pass over every next-state function gives each DAG
-      node the bitset of graph nodes it reads directly.  The memo keeps
-      growing with the roots later cones ask about, and a root's walk
-      stops at nodes it already holds.
+    * One bottom-up pass over every next function and write port gives
+      each DAG node the bitset of graph nodes it reads directly.  The
+      memo keeps growing with the roots later cones ask about, and a
+      root's walk stops at nodes it already holds.
     * Tarjan's algorithm finds the strongly connected components in
       reverse topological order, so each component's closure is its own
       members plus the finished closures of its successors.
 
     :meth:`cone` is then the union of the closures of what ``roots`` read
-    directly, restricted to state variables (each distinct cone's name set
-    is built once).
+    directly (each distinct cone's name set is built once).
     """
 
     def __init__(self, system: TransitionSystem) -> None:
-        state = system.state
-        self._names = [var.name for var in state]
+        self._names = [var.name for var in system.state] + list(system.mems)
         self._bit = {name: 1 << i for i, name in enumerate(self._names)}
-        n = len(state)
-        mems = list(system.mem_shapes)
-        self._mem_bit = {mem: 1 << (n + j) for j, mem in enumerate(mems)}
-        self._state_mask = (1 << n) - 1
         self._reads: dict[E.Expr, int] = {}
         self._cones: dict[int, frozenset[str]] = {}
-        succ = [self._direct([var.next]) for var in state]
-        for mem in mems:
-            addr_width, _dw = system.mem_shapes[mem]
-            words = 0
-            for addr in range(1 << addr_width):
-                words |= self._bit[f"{mem}[{addr}]"]
-            succ.append(words)
+        succ = [self._direct([var.next]) for var in system.state]
+        succ += [self._direct(mem.roots()) for mem in system.mems.values()]
         self._closure = _close(succ)
 
     def _direct(self, roots: list[E.Expr]) -> int:
@@ -210,10 +233,7 @@ class DependencyClosure:
             if isinstance(node, E.RegRead):
                 bits = bit[node.name]
             elif isinstance(node, E.MemRead):
-                if isinstance(node.addr, E.Const):
-                    bits = bit[f"{node.mem}[{node.addr.value}]"]
-                else:
-                    bits = self._mem_bit[node.mem] | reads[node.addr]
+                bits = bit[node.mem] | reads[node.addr]
             else:
                 bits = 0
                 for child in node.children():
@@ -233,7 +253,6 @@ class DependencyClosure:
         needed = 0
         for i in _indices(self._direct(list(roots))):
             needed |= closure[i]
-        needed &= self._state_mask
         names = self._cones.get(needed)
         if names is None:
             names = frozenset(self._names[i] for i in _indices(needed))
@@ -317,13 +336,17 @@ def _close(succ: list[int]) -> list[int]:
 class Frame:
     """Literal vectors of one unrolled time frame.
 
-    ``mems`` maps memory name -> {address: vector}; cone-of-influence
-    slicing can leave it sparse (only the addressed words materialised).
+    ``writes`` holds, per tracked memory, each write port's
+    ``(enable, address, data)`` in this frame, in port order; it is
+    filled when the next frame is built.  ``reads`` holds the memory
+    reads lowered in this frame, keyed by address vector: the read memo,
+    and what a counterexample decodes as the words the trace read.
     """
 
     regs: dict[str, Vec]
-    mems: dict[str, dict[int, Vec]]
     inputs: dict[str, Vec]
+    writes: dict[str, list[tuple[int, Vec, Vec]]] = field(default_factory=dict)
+    reads: dict[str, dict[tuple[int, ...], Vec]] = field(default_factory=dict)
 
 
 @dataclass
@@ -365,9 +388,13 @@ class Unroller:
     """Unrolls a transition system into an AIG frame by frame.
 
     ``support`` restricts the tracked state to a cone of influence: only
-    the listed state variables are materialised per frame (the set must be
-    closed under next-state dependencies, as produced by
+    the listed registers and memories are materialised per frame (the set
+    must be closed under next-state dependencies, as produced by
     :meth:`TransitionSystem.cone_of_influence`).
+
+    ``constraints`` collects the AIG literals the memory encoding needs
+    to hold (the base-read ties, see the module docstring); an engine
+    asserts every one of them alongside its own constraints.
     """
 
     def __init__(
@@ -383,39 +410,32 @@ class Unroller:
             for var in system.state
             if support is None or var.name in support
         ]
-        self._tracked = {var.name for var in self.vars}
+        self.mems = {
+            name: mem
+            for name, mem in system.mems.items()
+            if support is None or name in support
+        }
+        self.constraints: list[int] = []
+        self._free = False
+        # free-init base reads per memory, keyed by address vector
+        self._base_reads: dict[str, dict[tuple[int, ...], Vec]] = {}
         self._blasters: dict[int, BitBlaster] = {}
-
-    def _split_state(self, vecs: Mapping[str, Vec], input_vecs: dict[str, Vec]) -> Frame:
-        regs: dict[str, Vec] = {}
-        mems: dict[str, dict[int, Vec]] = {}
-        for var in self.vars:
-            if var.name in self.system.mem_word_names:
-                mem, index = var.name[:-1].split("[")
-                mems.setdefault(mem, {})[int(index)] = list(vecs[var.name])
-            else:
-                regs[var.name] = list(vecs[var.name])
-        return Frame(regs=regs, mems=mems, inputs=input_vecs)
 
     def add_initial_frame(self, free: bool) -> Frame:
         """Frame 0: constants from reset values, or fresh variables.
 
-        ROM contents stay constant even in free frames — they are constant
-        in every reachable state, so this is a sound strengthening.
+        A free frame leaves the written memories' contents free too (their
+        base reads are fresh); ROM contents stay known, as they are in
+        every reachable state.
         """
-        vecs: dict[str, Vec] = {}
-        for var in self.vars:
-            rom = (
-                "[" in var.name
-                and var.name.split("[")[0] in self.system.constant_mems
-            )
-            if free and not rom:
-                vecs[var.name] = fresh_vec(self.aig, var.width)
-            else:
-                vecs[var.name] = [
-                    1 if (var.init >> i) & 1 else 0 for i in range(var.width)
-                ]
-        frame = self._split_state(vecs, self._fresh_inputs())
+        self._free = free
+        regs = {
+            var.name: fresh_vec(self.aig, var.width)
+            if free
+            else const_bits(var.init, var.width)
+            for var in self.vars
+        }
+        frame = Frame(regs=regs, inputs=self._fresh_inputs())
         self.frames.append(frame)
         return frame
 
@@ -432,18 +452,80 @@ class Unroller:
         if blaster is None:
             frame = self.frames[index]
             blaster = BitBlaster(
-                self.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
+                self.aig,
+                regs=frame.regs,
+                inputs=frame.inputs,
+                read_mem=lambda mem, addr: self._read(index, mem, addr),
             )
             self._blasters[index] = blaster
         return blaster
 
     def add_step(self) -> Frame:
-        """Compute frame t+1 from the last frame."""
+        """Compute frame t+1 from the last frame: the registers' next
+        values, and the last frame's memory writes."""
+        last = self.frames[-1]
         blaster = self._blaster(len(self.frames) - 1)
-        vecs = {var.name: blaster.blast(var.next) for var in self.vars}
-        frame = self._split_state(vecs, self._fresh_inputs())
+        regs = {var.name: blaster.blast(var.next) for var in self.vars}
+        for name, mem in self.mems.items():
+            last.writes[name] = [
+                (
+                    blaster.blast(port.enable)[0],
+                    blaster.blast(port.addr),
+                    blaster.blast(port.data),
+                )
+                for port in mem.ports
+            ]
+        frame = Frame(regs=regs, inputs=self._fresh_inputs())
         self.frames.append(frame)
         return frame
+
+    def _read(self, index: int, name: str, addr: Vec) -> Vec:
+        """Memory ``name`` at ``addr`` in frame ``index``: the writes of
+        frames ``0..index-1`` as a priority chain, newest outermost, over
+        the base read of the frame-0 contents."""
+        if name not in self.mems:
+            raise BlastError(f"unbound memory {name!r}")
+        reads = self.frames[index].reads.setdefault(name, {})
+        key = tuple(addr)
+        value = reads.get(key)
+        if value is None:
+            g = self.aig
+            value = self._base_read(self.mems[name], addr)
+            for frame in self.frames[:index]:
+                for enable, waddr, data in frame.writes[name]:
+                    hit = g.and_(enable, _equal(g, addr, waddr))
+                    value = [g.mux_(hit, d, v) for d, v in zip(data, value)]
+            reads[key] = value
+        return value
+
+    def _base_read(self, mem: ArrayVar, addr: Vec) -> Vec:
+        """The frame-0 contents of ``mem`` at ``addr``."""
+        if not self._free or mem.name in self.system.constant_mems:
+            return self._known_read(mem, addr)
+        reads = self._base_reads.setdefault(mem.name, {})
+        key = tuple(addr)
+        data = reads.get(key)
+        if data is None:
+            g = self.aig
+            data = fresh_vec(g, mem.data_width)
+            for other_addr, other_data in reads.items():
+                tie = g.implies_(
+                    _equal(g, addr, list(other_addr)), _equal(g, data, other_data)
+                )
+                if tie != 1:  # not folded away (distinct constant addresses)
+                    self.constraints.append(tie)
+            reads[key] = data
+        return data
+
+    def _known_read(self, mem: ArrayVar, addr: Vec) -> Vec:
+        """A read of the reset contents: a mux over the nonzero words,
+        folding to a constant where neighbouring words agree."""
+        init, width = mem.init, mem.data_width
+        if not init:
+            return const_bits(0, width)
+        return mux_tree(
+            self.aig, [init.get(a, 0) for a in range(1 << len(addr))], addr, width
+        )
 
     def blast_in_frame(self, index: int, expression: E.Expr) -> Vec:
         """Evaluate an expression over the state/inputs of frame ``index``."""
@@ -461,7 +543,9 @@ class Unroller:
         that folded out of it (don't-care bits) would decode arbitrarily.
         To make the trace *replayable* on the simulator, state values are
         recomputed by evaluating the AIG from the model's input assignment
-        — the ground truth every downstream node follows.
+        — the ground truth every downstream node follows.  A frame's
+        state holds its registers and, as ``"mem[addr]"``, every memory
+        word the frame read.
         """
         assignment = {lit >> 1: bool(model.get(lit >> 1, False)) for lit in self.aig._inputs}
 
@@ -469,39 +553,41 @@ class Unroller:
         wanted: list[int] = []
         index: dict[int, int] = {}
 
-        def want(lit: int) -> None:
-            if lit not in index:
-                index[lit] = len(wanted)
-                wanted.append(lit)
+        def want(vec: Sequence[int]) -> None:
+            for lit in vec:
+                if lit not in index:
+                    index[lit] = len(wanted)
+                    wanted.append(lit)
 
-        for t in range(frames):
-            frame = self.frames[t]
+        for frame in self.frames[:frames]:
             for vec in frame.regs.values():
-                for lit in vec:
-                    want(lit)
-            for words in frame.mems.values():
-                for word in words.values():
-                    for lit in word:
-                        want(lit)
+                want(vec)
+            for reads in frame.reads.values():
+                for addr, data in reads.items():
+                    want(addr)
+                    want(data)
             for vec in frame.inputs.values():
-                for lit in vec:
-                    want(lit)
+                want(vec)
         values = self.aig.evaluate(assignment, wanted)
 
-        def vec_of(vec: Vec) -> int:
+        def vec_of(vec: Sequence[int]) -> int:
             return sum(1 << i for i, lit in enumerate(vec) if values[index[lit]])
 
         cex = Counterexample(length=frames)
-        for t in range(frames):
-            frame = self.frames[t]
+        for frame in self.frames[:frames]:
             state = {name: vec_of(vec) for name, vec in frame.regs.items()}
-            for mem, words in frame.mems.items():
-                for addr, word in sorted(words.items()):
-                    state[f"{mem}[{addr}]"] = vec_of(word)
-            ins = {name: vec_of(vec) for name, vec in frame.inputs.items()}
+            for mem, reads in frame.reads.items():
+                words = sorted((vec_of(addr), vec_of(data)) for addr, data in reads.items())
+                for addr, data in words:
+                    state[f"{mem}[{addr}]"] = data
             cex.states.append(state)
-            cex.inputs.append(ins)
+            cex.inputs.append({name: vec_of(vec) for name, vec in frame.inputs.items()})
         return cex
+
+
+def _equal(aig: Aig, a: Vec, b: Vec) -> int:
+    """The literal for ``a == b``."""
+    return aig.and_many([aig.xnor_(x, y) for x, y in zip(a, b)])
 
 
 class IncrementalUnroller(Unroller):
@@ -512,7 +598,9 @@ class IncrementalUnroller(Unroller):
     frame bit-blasts only its own transition logic, and only the AND nodes
     in the cone of an asserted/assumed literal are Tseitin-encoded — once.
     Learned clauses, variable activities and saved phases therefore carry
-    over from bound ``k`` to bound ``k+1``.
+    over from bound ``k`` to bound ``k+1``.  Each of the unrolling's
+    :attr:`~Unroller.constraints` becomes a global unit clause as soon as
+    the frame or literal that created it is handed out.
     """
 
     def __init__(
@@ -525,6 +613,13 @@ class IncrementalUnroller(Unroller):
         self.solver = Solver()
         self.emitter = CnfEmitter(self.aig, self.solver)
         self.free_init = free_init
+        self._asserted = 0  # constraints already in the solver
+
+    def _assert_constraints(self) -> None:
+        constraints = self.constraints
+        while self._asserted < len(constraints):
+            self.solver.add_clause([self.emitter.encode(constraints[self._asserted])])
+            self._asserted += 1
 
     def ensure_frames(self, count: int) -> None:
         """Materialise frames 0..count-1 (no-op for already-built frames)."""
@@ -532,11 +627,14 @@ class IncrementalUnroller(Unroller):
             self.add_initial_frame(free=self.free_init)
         while len(self.frames) < count:
             self.add_step()
+        self._assert_constraints()
 
     def literal(self, index: int, expression: E.Expr) -> int:
         """Solver literal for a 1-bit expression in frame ``index``,
         encoding its cone into the solver on first use."""
-        return self.emitter.encode(self.bit_in_frame(index, expression))
+        lit = self.emitter.encode(self.bit_in_frame(index, expression))
+        self._assert_constraints()
+        return lit
 
     def decode_solver_model(self, model: Mapping[int, bool], frames: int) -> Counterexample:
         return self.decode(self.emitter.model_to_aig(model), frames)
@@ -627,7 +725,10 @@ def bmc(
         )
         bad = aig.neg(unroller.bit_in_frame(t, prop))
         result = _solve(
-            aig, assumptions + [bad], max_conflicts=max_conflicts, interrupt=interrupt
+            aig,
+            assumptions + unroller.constraints + [bad],
+            max_conflicts=max_conflicts,
+            interrupt=interrupt,
         )
         conflicts += result.conflicts
         if result.satisfiable is True:
@@ -709,7 +810,10 @@ def k_induction(
     )
     bad = aig.neg(unroller.bit_in_frame(k, prop))
     result = _solve(
-        aig, constraints + [bad], max_conflicts=max_conflicts, interrupt=interrupt
+        aig,
+        constraints + unroller.constraints + [bad],
+        max_conflicts=max_conflicts,
+        interrupt=interrupt,
     )
     conflicts = base.conflicts + result.conflicts
     frames = max(base.frames, len(unroller.frames))

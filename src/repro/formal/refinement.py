@@ -53,9 +53,7 @@ class StepRefinement:
         # free — the theorem quantifies over every program.
         system.constant_mems = set()
         self.system = system
-        self.unroller = Unroller(
-            system, support={var.name for var in system.state}
-        )
+        self.unroller = Unroller(system)
         self.unroller.add_initial_frame(free=True)
         for _ in range(steps):
             self.unroller.add_step()
@@ -95,12 +93,12 @@ class StepRefinement:
         self._checks.append(self.unroller.bit_in_frame(frame, expression))
 
     def prove(self) -> RefinementResult:
-        """SAT-check that no assignment satisfies the assumptions while
-        violating any required equality."""
+        """SAT-check that no assignment satisfies the assumptions (and the
+        unrolling's memory ties) while violating any required equality."""
         aig = self.aig
         bad = aig.neg(aig.and_many(self._checks))
         start = time.perf_counter()
-        result = _solve(aig, self._assumptions + [bad])
+        result = _solve(aig, self._assumptions + self.unroller.constraints + [bad])
         elapsed = time.perf_counter() - start
         if result.satisfiable is None:
             return RefinementResult(

@@ -25,8 +25,9 @@ separates what is not:
 Verdict equivalence: for any member, the shared clause database restricted
 to that member's activation literal is satisfiability-equivalent to the
 database a context of that member alone would build — extra state
-variables in the union cone are deterministic functions of free inputs
-(always extendable) and other members' guarded clauses are vacuous with
+elements in the union cone are deterministic functions of free inputs,
+their memories' base-read ties are met by any one choice of contents
+(always extendable), and other members' guarded clauses are vacuous with
 their activation literal free.  ``tests/test_shared.py`` and
 ``tests/test_bmc_incremental.py`` hold grouped discharge to the same
 statuses and methods as the one-shot engines
@@ -69,14 +70,28 @@ def group_key(system: TransitionSystem) -> tuple[int, ...]:
 
     Two obligation sets may share a :class:`SharedContext` exactly when
     their systems agree on this key: the interned node ids of every
-    state variable's next-state function (plus name/width/init).  Interned
-    ids are object identities in the hash-consed DAG, so equal keys mean
-    the *same* transition functions, not merely isomorphic ones.
+    register's next-state function (plus name/width/init) and of every
+    memory's write ports (plus name/shape/reset words).  Interned ids are
+    object identities in the hash-consed DAG, so equal keys mean the
+    *same* transition functions, not merely isomorphic ones.
     """
-    return tuple(
+    registers = [
         hash((var.name, var.width, var.init, id(var.next)))
         for var in system.state
-    )
+    ]
+    memories = [
+        hash(
+            (
+                mem.name,
+                mem.addr_width,
+                mem.data_width,
+                tuple(mem.init.items()),
+                tuple(id(root) for root in mem.roots()),
+            )
+        )
+        for mem in system.mems.values()
+    ]
+    return tuple(registers + memories)
 
 
 class SharedContext:

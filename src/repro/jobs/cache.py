@@ -38,7 +38,10 @@ __all__ = [
 # 3: records carry a content checksum; unreadable records are evicted
 # 4: obligation fingerprints are Merkle digests (repro.proofs.fingerprint):
 # version-3 records are keyed by the old serialization and must miss
-CACHE_VERSION = 4
+# 5: memories are arrays (ENGINE_VERSION 5): every discharge key and family
+# fingerprint changed, so version-4 records are unreachable; the bump lets
+# the store evict them as version skew instead of leaving them on disk
+CACHE_VERSION = 5
 
 _CACHEABLE = (Status.PROVED, Status.BOUNDED, Status.TRACE_OK)
 

@@ -9,7 +9,8 @@ SHA-256 over everything the verdict depends on:
 * the expression DAG(s) of the obligation (property + assumptions, or the
   two sides of an equivalence),
 * the slice of the transition system in the property's cone of influence
-  (state element names, widths, reset values and next-state functions),
+  (each register's name, width, reset value and next-state function; each
+  memory's name, shape, reset words and write ports),
 * the engine parameters (induction depth, BMC bound, conflict budget, ...),
 * the decision-procedure versions (``SOLVER_VERSION``/``ENGINE_VERSION``),
   so a solver or engine change — bug fixes included — invalidates every
@@ -26,8 +27,9 @@ width and leaf data (constant value, port, register or memory name, slice
 bounds) followed by its children's digests.  The digest is stored on the
 node, so every node is hashed once per process however many obligations
 share it; a fingerprint then hashes the version line, the digests of its
-roots, one ``(name, width, init, next-digest)`` row per support variable,
-the ROM lines and the parameters.  Every preimage is built from the node's
+roots, one row per support element (a register's ``(name, width, init,
+next-digest)``, a memory's shape, reset words, ROM flag and port digests)
+and the parameters.  Every preimage is built from the node's
 content alone — never from ``hash()``, ``id()`` or anything that varies
 with ``PYTHONHASHSEED`` — so equal content gives equal fingerprints in
 every process.
@@ -160,10 +162,30 @@ def fingerprint_exprs(
     return _digest(lines)
 
 
-def _rom_lines(system: "TransitionSystem", support: Iterable[str]) -> list[str]:
-    # constant (ROM) memories are treated specially by the induction engine
-    mems_in_cone = {name.split("[")[0] for name in support if "[" in name}
-    return [f"rom:{mem}" for mem in sorted(mems_in_cone & system.constant_mems)]
+def _support_lines(
+    system: "TransitionSystem", support: Iterable[str], ref: Callable[[E.Expr], str]
+) -> list[str]:
+    """One row per support element, naming its expressions by ``ref``: a
+    register's ``(name, width, init, next)``, or a memory's name, shape,
+    nonzero reset words, whether its contents are known in every frame
+    (``rom``) and its write ports' ``enable,addr,data`` triples."""
+    lines: list[str] = []
+    for name in support:
+        mem = system.mems.get(name)
+        if mem is None:
+            var = system.var(name)
+            lines.append(f"state:{name}:{var.width}:{var.init}:{ref(var.next)}")
+            continue
+        init = ",".join(f"{a}={v}" for a, v in mem.init.items())
+        kind = "rom" if name in system.constant_mems else "ram"
+        ports = ";".join(
+            f"{ref(port.enable)},{ref(port.addr)},{ref(port.data)}"
+            for port in mem.ports
+        )
+        lines.append(
+            f"array:{name}:{mem.addr_width}:{mem.data_width}:{init}:{kind}:{ports}"
+        )
+    return lines
 
 
 def invariant_lines(
@@ -179,21 +201,14 @@ def invariant_lines(
     (:mod:`repro.analysis.family`) diffs these lines across two family
     instances to erase a width-generic template; the fingerprint and the
     template must agree on what "the obligation" is, so both cover the
-    same property, assumptions, support rows, ROMs and parameters.
+    same property, assumptions, support rows and parameters.
     """
     assume = list(assume)
     support = sorted(system.cone_of_influence([prop, *assume]))
-    roots: list[E.Expr] = [prop, *assume]
-    var_nexts = [system.var(name).next for name in support]
-    lines, index = _serialize_nodes(roots + var_nexts)
+    lines, index = _serialize_nodes([prop, *assume, *system.roots_of(support)])
     lines.append("prop:" + str(index[id(prop)]))
     lines.append("assume:" + ",".join(str(index[id(a)]) for a in assume))
-    for name in support:
-        var = system.var(name)
-        lines.append(
-            f"state:{name}:{var.width}:{var.init}:{index[id(var.next)]}"
-        )
-    lines.extend(_rom_lines(system, support))
+    lines.extend(_support_lines(system, support, lambda node: str(index[id(node)])))
     lines.extend(_params_lines(params))
     return lines
 
@@ -212,10 +227,7 @@ def fingerprint_invariant(
     assume = list(assume)
     support = sorted(system.cone_of_influence([prop, *assume]))
     lines = [f"prop:{_hex(prop)}", "assume:" + ",".join(_hex(a) for a in assume)]
-    for name in support:
-        var = system.var(name)
-        lines.append(f"state:{name}:{var.width}:{var.init}:{_hex(var.next)}")
-    lines.extend(_rom_lines(system, support))
+    lines.extend(_support_lines(system, support, _hex))
     lines.extend(_params_lines(params))
     return _digest(lines)
 

@@ -252,9 +252,7 @@ class TestFrameBlasterMemo:
             if id(fresh) == stale_id:
                 break
         frame = unroller.frames[1]
-        reference = BitBlaster(
-            unroller.aig, regs=frame.regs, inputs=frame.inputs, mem_words=frame.mems
-        )
+        reference = BitBlaster(unroller.aig, regs=frame.regs, inputs=frame.inputs)
         assert unroller.blast_in_frame(1, fresh) == reference.blast(fresh)
 
     def test_frame_reuses_one_blaster(self):

@@ -1,13 +1,14 @@
 """The cone-of-influence closure against a fixpoint oracle.
 
-:meth:`TransitionSystem.cone_of_influence` closes the state variables'
+:meth:`TransitionSystem.cone_of_influence` closes the state elements'
 dependency graph once per system (:class:`repro.formal.bmc.
 DependencyClosure`).  ``reference_cone`` below is the definition it
-replaced: re-walk the frontier's next-state functions until no new
-variable appears.  Both must name the same variables for every root set
-the engine asks about, on the shipped cores and on hand-built corner
-cases (self-loops, register cycles, memories read symbolically inside a
-cycle, constant-address word reads, ROMs, memories with two write ports).
+replaced: re-walk what a step of the frontier reads (a register's next
+function, a memory's write ports) until no new element appears.  Both
+must name the same registers and memories for every root set the engine
+asks about, on the shipped cores and on hand-built corner cases
+(self-loops, register cycles, memories read symbolically inside a cycle,
+constant-address reads, ROMs, memories with two write ports).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from repro.proofs import generate_obligations, resolve_properties
 
 
 def reference_cone(system: TransitionSystem, roots: list[E.Expr]) -> set[str]:
-    """The frontier fixpoint: every state variable ``roots`` reach through
-    any number of next-state steps."""
+    """The frontier fixpoint: every register and memory ``roots`` reach
+    through any number of steps."""
     needed: set[str] = set()
-    full_mems: set[str] = set()
     frontier = list(roots)
     while frontier:
         exprs = frontier
@@ -39,15 +39,10 @@ def reference_cone(system: TransitionSystem, roots: list[E.Expr]) -> set[str]:
             if isinstance(node, E.RegRead):
                 names.add(node.name)
             elif isinstance(node, E.MemRead):
-                if isinstance(node.addr, E.Const):
-                    names.add(f"{node.mem}[{node.addr.value}]")
-                elif node.mem not in full_mems:
-                    full_mems.add(node.mem)
-                    addr_width, _dw = system.mem_shapes[node.mem]
-                    names.update(f"{node.mem}[{a}]" for a in range(1 << addr_width))
+                names.add(node.mem)
         for name in names - needed:
             needed.add(name)
-            frontier.append(system.var(name).next)
+            frontier.extend(system.roots_of([name]))
     return needed
 
 
@@ -68,6 +63,7 @@ def _core_root_sets(core: str) -> tuple[TransitionSystem, list[list[E.Expr]]]:
     ]
     assert any(len(o.assume) for o in injected)
     root_sets = [[var.next] for var in system.state]
+    root_sets += [mem.roots() for mem in system.mems.values() if mem.ports]
     root_sets += [[o.prop, *o.assume] for o in invariants]
     root_sets += [[o.prop, *o.assume] for o in injected]
     root_sets += [[inv.prop] for inv in mining.proven]
@@ -173,12 +169,9 @@ HAND_BUILT = {
 def test_closure_matches_fixpoint_on_hand_built(name):
     system = TransitionSystem.from_module(HAND_BUILT[name]())
     leaves = [var.next for var in system.state]
+    leaves += [root for mem in system.mems.values() for root in mem.roots()]
     root_sets = [[leaf] for leaf in leaves]
-    root_sets += [
-        [E.reg_read(var.name, var.width)]
-        for var in system.state
-        if "[" not in var.name
-    ]
+    root_sets += [[E.reg_read(var.name, var.width)] for var in system.state]
     root_sets += [leaves[i : i + 2] for i in range(len(leaves) - 1)]
     root_sets.append([])
     _assert_oracle(system, root_sets)
@@ -188,12 +181,15 @@ def test_hand_built_cones_read_as_designed():
     system = TransitionSystem.from_module(_two_register_cycle())
     assert system.cone_of_influence([E.reg_read("c", 4)]) == {"a", "b", "c"}
     system = TransitionSystem.from_module(_constant_word_read())
-    # a constant-address read pulls in that word only
-    assert system.cone_of_influence([E.reg_read("w1", 4)]) == {"w1", "M[1]"}
+    # a constant-address read pulls in the whole memory, one element, and
+    # through it the write port's logic (here only the input)
+    assert system.cone_of_influence([E.reg_read("w1", 4)]) == {"w1", "M"}
     system = TransitionSystem.from_module(_symbolic_read_in_cycle())
-    words = {f"M[{a}]" for a in range(4)}
-    assert system.cone_of_influence([E.reg_read("ptr", 2)]) == (
-        {"ptr", "acc"} | words
+    assert system.cone_of_influence([E.reg_read("ptr", 2)]) == {"ptr", "acc", "M"}
+    system = TransitionSystem.from_module(_two_write_ports())
+    # both ports' logic: a, b (first port) and c (second port's address)
+    assert system.cone_of_influence([E.reg_read("out", 4)]) == (
+        {"out", "M", "a", "b", "c"}
     )
 
 

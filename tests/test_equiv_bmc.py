@@ -219,4 +219,5 @@ class TestConeOfInfluence:
         support = system.cone_of_influence(
             [E.redor(E.mem_read("mem", addr, 4))]
         )
-        assert {"mem[0]", "mem[1]", "mem[2]", "mem[3]", "p"} <= support
+        # the memory is one element of the cone, standing for all its words
+        assert support == {"mem", "p"}

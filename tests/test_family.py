@@ -32,6 +32,7 @@ from repro.analysis.family import (
     recons,
 )
 from repro.analysis.widths import (
+    MemSpec,
     ParamType,
     PairMismatch,
     StateSpec,
@@ -226,6 +227,34 @@ class TestWidthTyping:
             [n0, states[1].next0], [n1, states[1].next1], states=states
         )
         assert typing.env["flag"] is ParamType.ENTANGLED
+
+    def test_memory_typed_once_from_its_write_ports(self):
+        """A memory is one element of the fixpoint: a read joins the
+        type of every port's data, and a port whose address is not
+        uniform entangles the whole memory."""
+
+        def build(w, addr):
+            read = E.mem_read("M", E.reg_read("p", 4), w)
+            port = (E.const(1, 1), addr, E.add(E.input_port("a", w), read))
+            return read, port
+
+        def memory_type(addr0, addr1):
+            (read0, port0), (read1, port1) = build(8, addr0), build(16, addr1)
+            mems = [
+                MemSpec(
+                    name="M", width0=8, width1=16, ports0=(port0,), ports1=(port1,)
+                )
+            ]
+            typing = infer_types([read0, *port0], [read1, *port1], mems=mems)
+            assert typing.of(read0, read1) is typing.env["M"]
+            return typing.env["M"]
+
+        uniform = E.input_port("q", 4)
+        assert memory_type(uniform, uniform) is ParamType.SLICEWISE
+        # an address decided by a scaled compare writes different words
+        entangled0 = E.zext(E.ult(E.input_port("a", 8), E.input_port("b", 8)), 4)
+        entangled1 = E.zext(E.ult(E.input_port("a", 16), E.input_port("b", 16)), 4)
+        assert memory_type(entangled0, entangled1) is ParamType.ENTANGLED
 
     def test_counts_reports_all_levels(self):
         r0 = E.add(E.input_port("a", 8), E.const(8, 1))
@@ -465,14 +494,14 @@ class TestOneTyping:
             roots0 = [obligation.prop, *obligation.assume]
             roots1 = [other.prop, *other.assume]
             support = sorted(system0.cone_of_influence(roots0))
-            walk0 = roots0 + [system0.var(n).next for n in support]
-            walk1 = roots1 + [system1.var(n).next for n in support]
-            # the oracle: a fixpoint over this cone's own state variables
+            walk0 = roots0 + system0.roots_of(support)
+            walk1 = roots1 + system1.roots_of(support)
+            # the oracle: a fixpoint over this cone's own state elements
             cone = infer_types(
                 walk0,
                 walk1,
                 states=_state_specs(support, system0, system1),
-                mems=_mem_specs(support, pipelined0, pipelined1, system0),
+                mems=_mem_specs(support, system0, system1),
                 declassify0=declassify0,
                 declassify1=declassify1,
             )

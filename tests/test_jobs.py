@@ -426,8 +426,9 @@ def test_dlx_mixed_timeout(tmp_path):
     """DLX-scale timeout machinery: a budget that cuts off the expensive
     lemma-1 induction leaves it unknown while all others complete.  The
     budget sits between lemma 1's cost and every other SAT obligation's
-    (~0.45s against at most ~0.2s on a 2-vCPU x86-64 host): at their
-    geometric mean, measured by an unbudgeted run on the host at hand."""
+    (~0.24 s against at most ~0.04 s on a 2-vCPU x86-64 host, medians of
+    5): at their geometric mean, measured by an unbudgeted run on the
+    host at hand."""
     pipelined = _small_dlx_pipelined()
     obligations = generate_obligations(pipelined)
     params = EngineParams(trace_cycles=100)
@@ -456,7 +457,7 @@ def test_dlx_incremental_beats_timeout(tmp_path):
     """The incremental engine fits lemma 1 into a per-obligation budget —
     the headline speedup of the incremental rework.  The budget is three
     times the slowest solved obligation of an unbudgeted run on the host
-    at hand (lemma 1, ~0.45 s on a 2-vCPU x86-64 host), and never below the
+    at hand (lemma 1, ~0.24 s on a 2-vCPU x86-64 host), and never below the
     1.5 s the scratch engine cannot meet, so a slow host cannot starve
     it."""
     pipelined = _small_dlx_pipelined()
