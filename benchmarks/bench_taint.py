@@ -11,13 +11,11 @@ speculative DLX's data-memory width and records both sides.
 
 Recorded to ``BENCH_taint.json``: per-width static/SAT CPU seconds
 (``time.process_time``, the minimum over ``TAINT_ROUNDS`` runs of the
-static side and ``SAT_ROUNDS`` of the SAT side; the shared absint
-fixpoint precomputed and excluded from both sides — the fault ladder and
-the discharge gate already have one), policy counts, non-vacuous query
-counts, and the headline speedup.  The static side takes a few
-milliseconds, so it is timed on the process clock and over many rounds:
-a wall-clock minimum of three that small follows the load of whatever
-else runs on the host more than it follows the analysis.
+static side and ``SAT_ROUNDS`` of the SAT side), policy counts,
+non-vacuous query counts, and the headline speedup.  The static side
+takes about a millisecond, so it is timed on the process clock and over
+many rounds: a wall-clock minimum of three that small follows the load
+of whatever else runs on the host more than it follows the analysis.
 
 Asserted in the full configuration: every policy verdict is clean, no
 clean verdict is contradicted by the solver, the cross-check is
@@ -32,12 +30,11 @@ import os
 import time
 
 from _report import report_json
-from repro.absint import shared_fixpoint
 from repro.core import transform
 from repro.dlx.programs import hazard_torture
 from repro.dlx.speculative import DlxSpecConfig, build_dlx_spec_machine
 from repro.formal.noninterference import crosscheck_policies
-from repro.lint import TaintAnalysis, taint_verdicts
+from repro.lint import taint_verdicts
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 IMEM_BITS = 6 if SMOKE else 10
@@ -71,21 +68,16 @@ def test_taint_vs_sat_crosscheck():
             ),
         )
         pipelined = transform(machine)
-        fixpoint = shared_fixpoint(pipelined.module)
 
         taint_seconds, verdicts = _min_cpu_seconds(
-            TAINT_ROUNDS,
-            lambda: taint_verdicts(
-                pipelined, analysis=TaintAnalysis(pipelined, fixpoint)
-            ),
+            TAINT_ROUNDS, lambda: taint_verdicts(pipelined)
         )
         assert all(v.clean for v in verdicts), [
             (v.rule, v.path) for v in verdicts if not v.clean
         ]
 
         sat_seconds, entries = _min_cpu_seconds(
-            SAT_ROUNDS,
-            lambda: crosscheck_policies(pipelined, fixpoint=fixpoint),
+            SAT_ROUNDS, lambda: crosscheck_policies(pipelined)
         )
         contradicted = [e for e in entries if e.contradicted]
         assert not contradicted, [(e.rule, e.path) for e in contradicted]

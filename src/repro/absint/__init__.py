@@ -29,7 +29,7 @@ from .domain import (
     interval_transfer,
     ternary_transfer,
 )
-from .fixpoint import FixpointResult, analyze, shared_fixpoint
+from .fixpoint import FixpointResult, analyze
 from .mine import (
     MinedInvariant,
     MiningResult,
@@ -51,7 +51,6 @@ __all__ = [
     "VerifyOutcome",
     "abs_transfer",
     "analyze",
-    "shared_fixpoint",
     "inject_invariants",
     "interval_transfer",
     "mine_invariants",

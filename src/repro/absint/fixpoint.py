@@ -23,7 +23,6 @@ always sound.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -128,10 +127,8 @@ class FixpointResult:
 
     :meth:`eval` extends ``values`` on demand to expressions outside the
     module's roots, memoised on the interned nodes themselves — the
-    cross-obligation CSE that lets candidate properties and sibling
-    obligations reuse each other's transfer computations.  The result
-    holds the environments :func:`analyze` built over the module's
-    memories, never the module, so a memo weak on the module lets it go.
+    cross-candidate CSE that lets invariant candidates reuse each
+    other's transfer computations.
     """
 
     registers: dict[str, AbsValue]
@@ -147,8 +144,8 @@ class FixpointResult:
 
         Transfers are memoised in ``values`` keyed on interned nodes: any
         subterm hash-consed together with a previously evaluated
-        expression — another candidate invariant, a sibling obligation's
-        property — is a dictionary hit, and the walk stops there.
+        expression — a root of the module, another candidate invariant —
+        is a dictionary hit, and the walk stops there.
         """
         values = self.values
         for node in E.walk_new([expression], values):
@@ -159,32 +156,6 @@ class FixpointResult:
                 mem_env=self._mem_env,
             )
         return values[expression]
-
-
-# one fixpoint per module, shared across every caller holding the same
-# module alive — sibling obligations, repeated mining runs, the lint
-# semantic pass.  Weak on the module (no FixpointResult refers back to
-# it), so dropping the netlist drops the analysis.
-_SHARED_FIXPOINTS: "weakref.WeakKeyDictionary[Module, FixpointResult]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_fixpoint(module: Module) -> FixpointResult:
-    """Memoised :func:`analyze`, weak on the module.
-
-    The fixpoint of a module is a pure function of the netlist, so
-    everyone discharging obligations over the same hash-consed module can
-    share one — including its ever-growing :meth:`FixpointResult.eval`
-    memo, keyed by node, which is what makes invariant mining reuse
-    transfer computations across sibling obligations.  The entry goes
-    when the module does.
-    """
-    result = _SHARED_FIXPOINTS.get(module)
-    if result is None:
-        result = analyze(module)
-        _SHARED_FIXPOINTS[module] = result
-    return result
 
 
 def analyze(module: Module) -> FixpointResult:

@@ -39,7 +39,7 @@ from ..hdl.compile import CompiledSimulator
 from ..hdl.serialize import exprs_from_json, exprs_to_json
 from ..proofs.obligations import Obligation, ObligationKind
 from .domain import ABSINT_VERSION
-from .fixpoint import FixpointResult, shared_fixpoint
+from .fixpoint import FixpointResult, analyze
 from .verify import verify_candidates
 
 
@@ -243,7 +243,7 @@ def _trace_filter(
 
     Candidates the fixpoint already proves abstractly (their property
     evaluates to constant 1 in the stable abstract state, via the
-    memoised cross-obligation :meth:`FixpointResult.eval`) hold in every
+    memoised cross-candidate :meth:`FixpointResult.eval`) hold in every
     reachable state, a fortiori on the trace — they are survivors by
     construction and skip the simulation entirely.  The rest become the
     probes of a copy of ``module`` (same registers and memories) on the
@@ -312,10 +312,7 @@ def mine_invariants(
             return hit
 
     if fixpoint is None:
-        # memoised per module: sibling obligations, repeated mining runs
-        # and the lint pass share one analysis and one cross-obligation
-        # eval() memo
-        fixpoint = shared_fixpoint(module)
+        fixpoint = analyze(module)
     generated = generate_candidates(pipelined, fixpoint)
     kinds = {name: kind for name, (kind, _prop) in generated.items()}
     candidates = {name: prop for name, (_kind, prop) in generated.items()}

@@ -413,7 +413,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_taint(args: argparse.Namespace) -> int:
-    from .absint.fixpoint import shared_fixpoint
     from .faults.catalog import CORES
     from .lint import LintResult, lint_taint, render
     from .lint.taint import TaintAnalysis, taint_verdicts
@@ -433,9 +432,8 @@ def cmd_taint(args: argparse.Namespace) -> int:
     combined = LintResult()
     contradictions = 0
     for name, pipelined in targets:
-        fixpoint = shared_fixpoint(pipelined.module)
-        analysis = TaintAnalysis(pipelined, fixpoint=fixpoint)
-        result = lint_taint(pipelined, fixpoint=fixpoint, analysis=analysis)
+        analysis = TaintAnalysis(pipelined)
+        result = lint_taint(pipelined, analysis=analysis)
         combined.extend(result)
         verdicts = taint_verdicts(pipelined, analysis=analysis)
         clean = sum(1 for verdict in verdicts if verdict.clean)
@@ -448,7 +446,7 @@ def cmd_taint(args: argparse.Namespace) -> int:
             from .formal.noninterference import crosscheck_policies
 
             entries = crosscheck_policies(
-                pipelined, fixpoint=fixpoint, max_conflicts=args.max_conflicts
+                pipelined, max_conflicts=args.max_conflicts
             )
             for entry in entries:
                 verdict = entry.verdict

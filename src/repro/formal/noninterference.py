@@ -2,8 +2,8 @@
 
 Ground truth for the static taint pass (:mod:`repro.lint.taint`).  A
 clean policy verdict claims a sink net is *combinationally independent*
-of a set of source registers in every reachable state, except through
-declared declassifier nets.  The matching SAT query builds the sink's
+of a set of source registers in every state, except through declared
+declassifier nets.  The matching SAT query builds the sink's
 cone twice over one AIG:
 
 * copy A binds every register/input leaf to fresh variables (shared
@@ -18,10 +18,9 @@ UNSAT means non-interference holds: no pair of states differing only in
 the sources (and agreeing on the declassifiers) changes the sink — the
 static ``clean`` verdict is validated.  SAT is a real dependence and may
 only occur when the static pass reported taint (taint over-approximates;
-the reverse would be a soundness bug).  The absint sharpening the static
-pass uses is mirrored here by binding every reachably-constant node of
-the cone to its constant vector in both copies, so the query quantifies
-over the same abstract-reachable state space the lint claim is made for.
+the reverse would be a soundness bug).  Like the static pass, the query
+reads the netlist alone: every register of the cone is free, so it
+quantifies over all states, not just the reachable ones.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..absint.fixpoint import FixpointResult, shared_fixpoint
 from ..hdl import expr as E
 from .aig import Aig, BitBlaster, Vec, fresh_vec, to_cnf
 from .sat import Solver
@@ -60,14 +58,11 @@ def check_noninterference(
     sink: E.Expr,
     sources: tuple[str, ...] | list[str],
     declassifiers: tuple[E.Expr, ...] = (),
-    fixpoint: FixpointResult | None = None,
     max_conflicts: int | None = 200_000,
 ) -> NIVerdict:
     """Is ``sink`` independent of the ``sources`` registers, modulo the
     ``declassifiers`` being tied equal across the two copies?"""
     start = time.perf_counter()
-    if fixpoint is None:
-        fixpoint = shared_fixpoint(module)
     roots = [sink, *declassifiers]
     cone = E.walk(roots)
 
@@ -76,16 +71,12 @@ def check_noninterference(
     def const_vec(width: int, value: int) -> Vec:
         return [1 if (value >> i) & 1 else 0 for i in range(width)]
 
-    # shared leaf environment: fixpoint-constant registers are bound to
-    # their constant (the abstract-reachable state space), the rest free
-    regs_a: dict[str, Vec] = {}
-    for node in cone:
-        if isinstance(node, E.RegRead) and node.name not in regs_a:
-            value = fixpoint.registers.get(node.name)
-            if value is not None and value.is_const():
-                regs_a[node.name] = const_vec(node.width, value.lo)
-            else:
-                regs_a[node.name] = fresh_vec(aig, node.width)
+    # shared leaf environment: every register and input free
+    regs_a = {
+        node.name: fresh_vec(aig, node.width)
+        for node in cone
+        if isinstance(node, E.RegRead)
+    }
     inputs = {
         node.name: fresh_vec(aig, node.width)
         for node in cone
@@ -107,17 +98,7 @@ def check_noninterference(
                     for a in range(size)
                 ]
 
-    # absint sharpening, mirrored: any reachably-constant interior node
-    # is the same constant in both copies
-    const_nodes = {
-        node: const_vec(node.width, fixpoint.eval(node).lo)
-        for node in cone
-        if not isinstance(node, (E.Const, E.RegRead, E.Input))
-        and fixpoint.eval(node).is_const()
-    }
-
     blaster_a = BitBlaster(aig, regs=regs_a, inputs=inputs, mem_words=mem_words)
-    blaster_a._memo.update(const_nodes)
     vec_a = blaster_a.blast(sink)
     cut_vecs = [blaster_a.blast(cut) for cut in declassifiers]
 
@@ -125,12 +106,11 @@ def check_noninterference(
     freed = []
     for name in sources:
         vec = regs_a.get(name)
-        if vec is None or all(lit in (0, 1) for lit in vec):
-            continue  # not in the cone, or constant-bound: nothing to free
+        if vec is None:
+            continue  # not in the cone: nothing to free
         regs_b[name] = fresh_vec(aig, len(vec))
         freed.append(name)
     blaster_b = BitBlaster(aig, regs=regs_b, inputs=inputs, mem_words=mem_words)
-    blaster_b._memo.update(const_nodes)
     for cut, vec in zip(declassifiers, cut_vecs):
         blaster_b._memo[cut] = vec
     vec_b = blaster_b.blast(sink)
@@ -179,24 +159,19 @@ class CrossCheckEntry:
 
 def crosscheck_policies(
     pipelined,
-    fixpoint: FixpointResult | None = None,
     max_conflicts: int | None = 200_000,
 ) -> list[CrossCheckEntry]:
     """Cross-check every absence-of-flow policy verdict of a pipelined
     machine against its two-copy SAT query."""
     from ..lint.taint import taint_verdicts
 
-    module = pipelined.module
-    if fixpoint is None:
-        fixpoint = shared_fixpoint(module)
     entries: list[CrossCheckEntry] = []
-    for verdict in taint_verdicts(pipelined, fixpoint=fixpoint):
+    for verdict in taint_verdicts(pipelined):
         ni = check_noninterference(
-            module,
+            pipelined.module,
             verdict.sink,
             verdict.sources,
             declassifiers=verdict.declassifiers,
-            fixpoint=fixpoint,
             max_conflicts=max_conflicts,
         )
         entries.append(

@@ -21,13 +21,13 @@ express:
 The fixpoint costs more than a single walk, so this family is *not* part
 of the default :func:`..registry.lint_module` pass list; call
 :func:`lint_semantic` explicitly (the fault-injection campaign's absint
-rung does, as does ``repro absint``'s consumers' tooling).
+rung does).
 """
 
 from __future__ import annotations
 
 from ..absint.domain import AbsValue
-from ..absint.fixpoint import FixpointResult, shared_fixpoint
+from ..absint.fixpoint import analyze
 from ..hdl import expr as E
 from ..hdl.bitvec import mask
 from ..hdl.netlist import Module
@@ -85,16 +85,10 @@ def _describe(value: AbsValue) -> str:
 
 
 def lint_semantic(
-    module: Module,
-    config: LintConfig | None = None,
-    fixpoint: FixpointResult | None = None,
+    module: Module, config: LintConfig | None = None
 ) -> LintResult:
-    """Run the fixpoint-based rules over one netlist.
-
-    ``fixpoint`` may be supplied to reuse an existing analysis (the
-    campaign and ``repro absint`` both already have one); otherwise it is
-    computed here.
-    """
+    """Run the fixpoint-based rules over one netlist; the fixpoint is
+    computed here."""
     config = config or LintConfig()
     result = LintResult()
     context = ModuleContext(
@@ -104,10 +98,7 @@ def lint_semantic(
         ignores=getattr(module, "lint_ignores", {}),
         module=module,
     )
-    if fixpoint is None:
-        # memoised: the lint gate and invariant mining run over the
-        # same module in one discharge drive — share the analysis
-        fixpoint = shared_fixpoint(module)
+    fixpoint = analyze(module)
 
     roots = named_roots(module)
     owner = _owner_map(roots)

@@ -11,13 +11,14 @@ that *statically*, in one walk over the transformed netlist:
   piped guess values (``SPEC_GUESS``), pre-commit stage results
   (``PRECOMMIT``) and the squash-window occupancy bits
   (``ROLLBACK_TAG``).
-* **Transfer functions** propagate per-node taint sets bottom-up.  The
-  rules are mux-precise and sharpened by the absint fixpoint
-  (:func:`repro.absint.shared_fixpoint`): a node whose abstract value is
-  constant over every reachable state carries no information and drops
-  all taint; a mux whose select is reachably constant taints only from
-  the live arm (and not from the select); a binary operator with one
-  reachably-constant operand taints only from the other.
+* **Transfer functions** propagate per-node taint sets bottom-up over
+  the netlist alone: constants and inputs carry no taint, a register
+  read carries its register's labels, a memory read leaks only through
+  its address, and every other node joins its operands' taint.  The
+  mux-precise and masking cases need no rule of their own, because
+  hash-consing folds them when the expression is built: a constant
+  select keeps only the live arm, and an AND with constant 0 is the
+  constant itself.
 * **Declassification** happens at the guess comparator: the mispredict
   net's taint is ``SPEC_CTRL`` regardless of what flows in — the paper
   sanctions exactly this one-bit digest steering repairs and squashes.
@@ -36,8 +37,9 @@ ordinary lint rules through the registry/severity/waiver machinery:
   instructions survive;
 * ``taint.unguarded-commit`` — every architectural write-port enable
   must keep a live dependence on the write stage's occupancy bit;
-* ``taint.unguarded-forward`` — no forwarding valid bit may be reachably
-  constant 1 (a value claimed final before its producer wrote it).
+* ``taint.unguarded-forward`` — no forwarding valid bit may have a
+  next-state function that is constant 1 under one-shot ternary
+  propagation (a value claimed final before its producer wrote it).
 
 The first two are *absence-of-flow* claims; each clean verdict can be
 cross-checked against ground truth by a SAT two-copy self-composition
@@ -55,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..absint.fixpoint import FixpointResult, shared_fixpoint
 from ..hdl import expr as E
 from ..machine.prepared import PRECOMMIT, SPEC_CTRL, SPEC_GUESS
 from .diagnostics import LintConfig, LintResult, Severity
@@ -103,12 +104,13 @@ register_rule(
 )
 register_rule(
     "taint.unguarded-forward",
-    "forwarding valid bit is reachably constant 1",
+    "forwarding valid bit's next state is constant 1",
     Severity.ERROR,
     target="machine",
-    description="a forwarding valid bit claims the forwarded value final"
-    " in every reachable state; consumers would read operands their"
-    " producer has not written yet",
+    description="a forwarding valid bit's next-state function is constant"
+    " 1 under one-shot ternary propagation, so the bit claims the"
+    " forwarded value final whatever the pipeline holds; consumers would"
+    " read operands their producer has not written yet",
 )
 
 
@@ -131,17 +133,13 @@ class TaintAnalysis:
     ``sources`` maps register names to label sets (the machine's state
     classes restricted to registers that exist in the module);
     ``declassifiers`` are the mispredict nets, pre-seeded to
-    ``{SPEC_CTRL}``.  Taint queries are memoised on interned node ids.
+    ``{SPEC_CTRL}``.  Taint queries are memoised on the interned nodes
+    themselves, so each node's transfer runs once per analysis.
     """
 
-    def __init__(
-        self,
-        pipelined: "PipelinedMachine",
-        fixpoint: FixpointResult | None = None,
-    ) -> None:
+    def __init__(self, pipelined: "PipelinedMachine") -> None:
         self.pipelined = pipelined
         module = pipelined.module
-        self.fixpoint = fixpoint or shared_fixpoint(module)
         self.sources: dict[str, frozenset[str]] = {
             name: frozenset(classes)
             for name, classes in pipelined.machine.state_classes().items()
@@ -150,60 +148,21 @@ class TaintAnalysis:
         self.declassifiers: tuple[E.Expr, ...] = tuple(
             hardware.mispredict for hardware in pipelined.speculations
         )
-        self._memo: dict[int, frozenset[str]] = {
-            id(node): frozenset((SPEC_CTRL,)) for node in self.declassifiers
+        self._memo: dict[E.Expr, frozenset[str]] = {
+            node: frozenset((SPEC_CTRL,)) for node in self.declassifiers
         }
 
     def taint(self, root: E.Expr) -> frozenset[str]:
         memo = self._memo
-        for node in E.walk([root]):
-            if id(node) not in memo:
-                memo[id(node)] = self._transfer(node)
-        return memo[id(root)]
-
-    def _const(self, node: E.Expr) -> bool:
-        return self.fixpoint.eval(node).is_const()
-
-    def _transfer(self, node: E.Expr) -> frozenset[str]:
-        # a reachably-constant node carries no information at all — this
-        # one rule implements the "masked bits drop taint" sharpening for
-        # constant masks, zero AND-operands and folded selects alike
-        if isinstance(node, (E.Const, E.Input)):
-            return _EMPTY
-        if self._const(node):
-            return _EMPTY
-        memo = self._memo
-        if isinstance(node, E.RegRead):
-            return self.sources.get(node.name, _EMPTY)
-        if isinstance(node, E.Mux):
-            sel_value = self.fixpoint.eval(node.sel)
-            if sel_value.is_const():
-                # constant select: only the live arm flows, and the
-                # select itself reveals nothing
-                arm = node.then if (sel_value.lo & 1) else node.els
-                return memo[id(arm)]
-            return memo[id(node.sel)] | memo[id(node.then)] | memo[id(node.els)]
-        if isinstance(node, E.Binary):
-            # a reachably-constant operand contributes no information
-            if self._const(node.a):
-                return memo[id(node.b)]
-            if self._const(node.b):
-                return memo[id(node.a)]
-            return memo[id(node.a)] | memo[id(node.b)]
-        if isinstance(node, E.Unary):
-            return memo[id(node.a)]
-        if isinstance(node, E.Slice):
-            return memo[id(node.a)]
-        if isinstance(node, E.Concat):
-            result = _EMPTY
-            for part in node.parts:
-                result = result | memo[id(part)]
-            return result
-        if isinstance(node, E.MemRead):
-            # memory contents are architectural; the read leaks only
-            # through its address
-            return memo[id(node.addr)]
-        raise AssertionError(type(node).__name__)
+        for node in E.walk_new([root], memo):
+            if isinstance(node, E.RegRead):
+                memo[node] = self.sources.get(node.name, _EMPTY)
+            else:
+                # a node joins its operands' taint: constants and inputs
+                # have none, and a memory read's one operand is its
+                # address (memory contents are architectural)
+                memo[node] = _EMPTY.union(*(memo[c] for c in node.children()))
+        return memo[root]
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +252,11 @@ def _select_sinks(pipelined: "PipelinedMachine") -> list[tuple[str, E.Expr]]:
 
 def taint_verdicts(
     pipelined: "PipelinedMachine",
-    fixpoint: FixpointResult | None = None,
     analysis: TaintAnalysis | None = None,
 ) -> list[PolicyVerdict]:
     """Evaluate the absence-of-flow policies (the SAT-cross-checkable
     half of :func:`lint_taint`)."""
-    analysis = analysis or TaintAnalysis(pipelined, fixpoint)
+    analysis = analysis or TaintAnalysis(pipelined)
     policies: list[tuple[str, frozenset[str], list[tuple[str, E.Expr]]]] = [
         (
             "taint.spec-to-arch",
@@ -342,7 +300,7 @@ def taint_verdicts(
 # ---------------------------------------------------------------------------
 
 
-def _check_rollback_escape(context: MachineContext, analysis: TaintAnalysis) -> None:
+def _check_rollback_escape(context: MachineContext) -> None:
     from ..hdl.subst import substitute
     from .structural import ternary_eval
 
@@ -383,7 +341,7 @@ def _check_rollback_escape(context: MachineContext, analysis: TaintAnalysis) -> 
             )
 
 
-def _check_unguarded_commit(context: MachineContext, analysis: TaintAnalysis) -> None:
+def _check_unguarded_commit(context: MachineContext) -> None:
     pipelined = context.pipelined
     module = pipelined.module
     for regfile in pipelined.machine.visible_regfiles():
@@ -406,8 +364,9 @@ def _check_unguarded_commit(context: MachineContext, analysis: TaintAnalysis) ->
             )
 
 
-def _check_unguarded_forward(context: MachineContext, analysis: TaintAnalysis) -> None:
+def _check_unguarded_forward(context: MachineContext) -> None:
     from ..core.forwarding import valid_bit_name
+    from .structural import ternary_eval
 
     pipelined = context.pipelined
     module = pipelined.module
@@ -417,30 +376,28 @@ def _check_unguarded_forward(context: MachineContext, analysis: TaintAnalysis) -
         for stage in range(pipelined.n_stages + 1)
     }
     for name in sorted(names & set(module.registers)):
-        next_value = analysis.fixpoint.eval(module.registers[name].next)
-        if next_value.is_const() and next_value.lo == 1:
-            context.emit(
-                "taint.unguarded-forward",
-                f"register:{name}",
-                f"forwarding valid bit {name} is reachably constant 1:"
-                " the chain claims the forwarded value final before its"
-                " producer decides to write it",
-            )
+        next_value = module.registers[name].next
+        if ternary_eval([next_value]).get(id(next_value)) != (1, 1):
+            continue
+        context.emit(
+            "taint.unguarded-forward",
+            f"register:{name}",
+            f"forwarding valid bit {name} is reachably constant 1:"
+            " the chain claims the forwarded value final before its"
+            " producer decides to write it",
+        )
 
 
 def lint_taint(
     pipelined: "PipelinedMachine",
     config: LintConfig | None = None,
-    fixpoint: FixpointResult | None = None,
     analysis: TaintAnalysis | None = None,
 ) -> LintResult:
     """Run the taint propagation and every non-interference policy over
     one pipelined machine.
 
-    ``fixpoint`` may be supplied to reuse an existing absint analysis
-    (the fault ladder and the discharge gate both already have one);
-    ``analysis`` to reuse the propagation itself (the SAT cross-check
-    driver does).
+    ``analysis`` may be supplied to reuse the propagation itself
+    (``repro taint`` reads its sources and verdicts too).
     """
     config = config or LintConfig()
     result = LintResult()
@@ -452,7 +409,7 @@ def lint_taint(
         machine=pipelined.machine,
         pipelined=pipelined,
     )
-    analysis = analysis or TaintAnalysis(pipelined, fixpoint)
+    analysis = analysis or TaintAnalysis(pipelined)
     for verdict in taint_verdicts(pipelined, analysis=analysis):
         if verdict.clean:
             continue
@@ -465,7 +422,7 @@ def lint_taint(
             " without passing a commit guard",
             classes=classes,
         )
-    _check_rollback_escape(context, analysis)
-    _check_unguarded_commit(context, analysis)
-    _check_unguarded_forward(context, analysis)
+    _check_rollback_escape(context)
+    _check_unguarded_commit(context)
+    _check_unguarded_forward(context)
     return result

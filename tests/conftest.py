@@ -11,6 +11,7 @@ prints the seed and replays with ``pytest --fuzz-seed=<seed>``."""
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -82,6 +83,29 @@ def one_shot_verdict():
         return "unknown", "exhausted"
 
     return verdict
+
+
+@pytest.fixture()
+def fixpoint_calls(monkeypatch) -> list:
+    """Count absint fixpoints: :func:`repro.absint.fixpoint.analyze` is
+    rebound in every loaded ``repro`` module that holds it by name, and
+    each call appends the analysed module to the returned list."""
+    from repro.absint import fixpoint
+
+    original = fixpoint.analyze
+    calls: list = []
+
+    def counted(module):
+        calls.append(module)
+        return original(module)
+
+    for name, loaded in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for key, value in list(vars(loaded).items()):
+            if value is original:
+                monkeypatch.setattr(loaded, key, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -20,9 +20,7 @@ Four layers, mirroring the subsystem's own structure:
 
 from __future__ import annotations
 
-import gc
 import itertools
-import weakref
 
 import pytest
 
@@ -34,11 +32,7 @@ from repro.absint import (
     rom_template_violations,
     verify_candidates,
 )
-from repro.absint.fixpoint import (
-    _SHARED_FIXPOINTS,
-    MAX_ITERATIONS,
-    shared_fixpoint,
-)
+from repro.absint.fixpoint import MAX_ITERATIONS
 from repro.absint.mine import MiningResult
 from repro.core.transform import transform
 from repro.faults import CORES, OPERATORS, generate_mutants, run_mutant
@@ -218,23 +212,6 @@ def test_fixpoint_eval_memoises_on_nodes():
     # every node of the new cone is memoised under the node itself
     assert result.values[high] == result.eval(high)
     assert high in result.values and count in result.values
-
-
-def test_shared_fixpoint_lets_dropped_modules_go():
-    """The memo is weak on the module: a result must not keep its own key
-    alive, or a long-running service keeps every request's netlist."""
-    gc.collect()
-    before = len(_SHARED_FIXPOINTS)
-    dropped = []
-    for _ in range(3):
-        module = transform(CORES["toy"].build_machine()).module
-        result = shared_fixpoint(module)
-        result.eval(E.bnot(next(iter(module.registers.values())).next))
-        dropped.append(weakref.ref(module))
-        del module, result
-    gc.collect()
-    assert [ref() for ref in dropped] == [None, None, None]
-    assert len(_SHARED_FIXPOINTS) <= before
 
 
 # ---------------------------------------------------------------------------

@@ -658,9 +658,12 @@ class TestEngineServe:
         assert not report.failed
         assert context.served == 0 and context.seeded == 0
 
-    def test_fully_served_run_skips_mining(self, toy_analysis, tmp_path):
+    def test_fully_served_run_skips_mining(
+        self, toy_analysis, tmp_path, fixpoint_calls
+    ):
         # mining strengthens obligations headed to the solver; a run in
-        # which the family cache settles everything must not pay for it
+        # which the family cache settles everything must not pay for it,
+        # nor for the absint fixpoint, whose one consumer is mining
         cache = FamilyCache(tmp_path)
         spec = FAMILIES["toy"]
         params = EngineParams(trace_cycles=spec.trace_cycles)
@@ -669,12 +672,14 @@ class TestEngineServe:
             p0, o0, params=params, cache=None,
             family=FamilyContext(toy_analysis, w0, cache),
         )
+        fixpoint_calls.clear()
         ctx = FamilyContext(toy_analysis, w1, cache)
         report = discharge_jobs(
             p1, o1, params=params, cache=None, family=ctx
         )
         assert ctx.served == len(o1.obligations)
         assert report.absint is None
+        assert fixpoint_calls == []
 
     def test_served_verdicts_are_never_slowest(self, toy_analysis, tmp_path):
         # a served outcome carries the seconds of the solve that seeded

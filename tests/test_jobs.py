@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import transform
+from repro.faults.catalog import CORES
 from repro.formal.bmc import TransitionSystem
 from repro.hdl import expr as E
 from repro.hdl.netlist import Module
@@ -280,6 +282,24 @@ class TestEngine:
         warm = discharge_jobs(toy_pipelined, toy_obligations, cache=cache, jobs=1)
         assert warm.hit_rate == 1.0
         assert walks == []
+
+    def test_warm_run_computes_no_fixpoint(self, tmp_path, fixpoint_calls):
+        # every verdict and the mining result come from the stores, so
+        # the absint fixpoint has nothing to feed; a fresh build of the
+        # machine rules out reuse through anything held by the module
+        cache = ResultCache(tmp_path)
+
+        def suite():
+            pipelined = transform(CORES["toy"].build_machine())
+            obligations = generate_obligations(pipelined)
+            return discharge_jobs(pipelined, obligations, cache=cache, jobs=1)
+
+        suite()
+        fixpoint_calls.clear()
+        warm = suite()
+        assert {outcome.source for outcome in warm.outcomes} == {"cache"}
+        assert warm.absint["from_cache"]
+        assert fixpoint_calls == []
 
     def test_timeout_degrades_to_unknown(self, toy_pipelined, toy_obligations):
         report = discharge_jobs(

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.absint import mine
-from repro.absint.fixpoint import shared_fixpoint
+from repro.absint.fixpoint import analyze
 from repro.core import (
     SpecState,
     collect_spec_states,
@@ -219,7 +219,7 @@ def interpreted_filter(module, candidates, cycles, fixpoint):
 @pytest.mark.parametrize("core", CORE_NAMES)
 def test_mining_filter_matches_the_interpreter(core, use_fixpoint):
     pipelined = transform(CORES[core].build_machine())
-    fixpoint = shared_fixpoint(pipelined.module)
+    fixpoint = analyze(pipelined.module)
     candidates = {
         name: prop
         for name, (_kind, prop) in mine.generate_candidates(
